@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .complexes import (
 )
 from .errors import CapExceeded, MomentAngleError, ParseError
 from .homology import reduced_homology
-from .hochster import DEFAULT_VERTEX_CAP, bigraded_betti
+from .hochster import DEFAULT_VERTEX_CAP, _thread_default, bigraded_betti
 from .reproduction import checklist_json_obj, run_checklist
 from .resolutions import (
     MethodDisagreement,
@@ -43,16 +42,6 @@ from .ring import ring_json_obj, ring_presentation
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _thread_default() -> int:
-    env = os.environ.get("MOMENT_ANGLE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _emit(text: str, out_path: str | None) -> None:

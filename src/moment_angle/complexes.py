@@ -276,10 +276,6 @@ class SimplicialComplex:
             new_facets.append((f & ~(1 << (v - 1))) | bit)
         return SimplicialComplex(max(self.m, new_label), new_facets, allow_ghosts=True)
 
-    def relabel_compact(self) -> "SimplicialComplex":
-        """Drop ghost vertices, relabeling the support order-preservingly."""
-        return self.full_subcomplex(self.vertex_support())
-
 
 EMPTY = SimplicialComplex(0, (), name="empty")
 

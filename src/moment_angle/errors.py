@@ -37,6 +37,14 @@ class NotACocycle(MomentAngleError):
     """A cochain handed to a cohomology operation has nonzero coboundary."""
 
 
+class NotAChainComplex(MomentAngleError):
+    """An assembled differential d fails d o d = 0."""
+
+
+class BasisMismatch(MomentAngleError):
+    """A class's coordinates do not match the generators of its block."""
+
+
 class DegreeMismatch(MomentAngleError):
     """A cochain is not homogeneous of the declared degree."""
 

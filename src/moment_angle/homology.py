@@ -323,9 +323,6 @@ def reduced_cohomology_basis(complex_: SimplicialComplex) -> CohomologyBasis:
     return CohomologyBasis.of_complex(complex_)
 
 
-SPHERE_CHECKS = ("pure", "ridges", "connected", "euler", "homology")
-
-
 @dataclass
 class SphereCheck:
     """Necessary (not sufficient) conditions for being a simplicial sphere."""

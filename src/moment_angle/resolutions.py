@@ -17,11 +17,12 @@ Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .bitsets import iter_vertices, lex_key, vertices_of
 from .complexes import SimplicialComplex
-from .errors import CapExceeded, MethodDisagreement
+from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
 from .homology import Abelian, merge_torsion
 from .snf import invariant_factors_sparse
 
@@ -71,6 +72,25 @@ def _homology_of_graded_maps(sizes: dict, maps: dict) -> dict:
     return out
 
 
+def _differential_matrix(source: dict, target: dict, differential, method: str) -> dict:
+    """Sparse ``{row: {col: sign}}`` matrix of d from ``source`` to ``target``.
+
+    Both bases map a basis element to its index; ``differential(key)`` lists
+    ``(sign, key)`` terms.  d o d = 0 is checked on every source element,
+    and a failure raises :class:`NotAChainComplex`.
+    """
+    entries: dict[int, dict[int, int]] = {}
+    for key, col in source.items():
+        square: dict = {}
+        for sign, key2 in differential(key):
+            entries.setdefault(target[key2], {})[col] = sign
+            for sign2, key3 in differential(key2):
+                square[key3] = square.get(key3, 0) + sign * sign2
+        if any(square.values()):
+            raise NotAChainComplex(f"{method} d*d != 0 on {key}")
+    return entries
+
+
 # -- Koszul quotient algebra ---------------------------------------------------
 
 
@@ -90,7 +110,7 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
 
     d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
     the term dropped whenever tau + v is not a face.  d preserves j = |sigma|
-    + |tau| and lowers i = |sigma| by one; d o d = 0 is asserted while the
+    + |tau| and lowers i = |sigma| by one; d o d = 0 is checked while the
     matrices are assembled.
     """
     faces = complex_.face_set()
@@ -98,7 +118,6 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
     full = (1 << m) - 1
     # index monomials per bidegree
     index: dict[tuple, dict] = {}
-    basis: dict[tuple, list] = {}
     for tau in faces:
         rest = full & ~tau
         sub = rest
@@ -107,41 +126,30 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
             key = (sigma.bit_count(), sigma.bit_count() + tau.bit_count())
             slot = index.setdefault(key, {})
             slot[(sigma, tau)] = len(slot)
-            basis.setdefault(key, []).append((sigma, tau))
             if sub == 0:
                 break
             sub = (sub - 1) & rest
 
-    def differential(sigma: int, tau: int) -> list:
+    def differential(mono: tuple) -> list:
+        sigma, tau = mono
         terms = []
         for v in iter_vertices(sigma):
             bit = 1 << (v - 1)
             new_tau = tau | bit
             if new_tau in faces:
-                terms.append((_koszul_sign(v, sigma), sigma & ~bit, new_tau))
+                terms.append((_koszul_sign(v, sigma), (sigma & ~bit, new_tau)))
         return terms
 
     maps: dict[tuple, dict] = {}
-    for (i, j), monomials in basis.items():
+    for (i, j), source in index.items():
         if i == 0:
             continue
-        target_index = index.get((i - 1, j), {})
-        entries: dict[int, dict[int, int]] = {}
-        for col, (sigma, tau) in enumerate(monomials):
-            square: dict = {}
-            for sign, s2, t2 in differential(sigma, tau):
-                row = target_index[(s2, t2)]
-                entries.setdefault(row, {})[col] = sign
-                for sign2, s3, t3 in differential(s2, t2):
-                    key2 = (s3, t3)
-                    square[key2] = square.get(key2, 0) + sign * sign2
-            assert all(v == 0 for v in square.values()), "koszul d*d != 0"
-        maps[(i, j)] = entries
+        maps[(i, j)] = _differential_matrix(source, index.get((i - 1, j), {}), differential, "koszul")
 
     # homology per fixed second grading j
     entries_out: dict[tuple, Abelian] = {}
-    for j in sorted({key[1] for key in basis}):
-        sizes = {i2: len(monos) for (i2, j2), monos in basis.items() if j2 == j}
+    for j in sorted({key[1] for key in index}):
+        sizes = {i2: len(monos) for (i2, j2), monos in index.items() if j2 == j}
         level_maps = {i2: mat for (i2, j2), mat in maps.items() if j2 == j}
         for i, group in _homology_of_graded_maps(sizes, level_maps).items():
             entries_out[(i, j)] = group
@@ -229,7 +237,7 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
 
     d(u) drops the i-th factor with sign (-1)^i and keeps the term only when
     the support is unchanged, so each (r, S) stratum is a finite complex of
-    its own; d o d = 0 is asserted stratum by stratum.
+    its own; d o d = 0 is checked stratum by stratum.
     """
     missing = complex_.missing_faces()
     if len(missing) > TAYLOR_GENERATOR_CAP:
@@ -266,18 +274,12 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
         for r in sizes:
             if r == 0:
                 continue
-            source = strata_basis[(r, support)]
-            target = strata_basis.get((r - 1, support), {})
-            entries: dict[int, dict[int, int]] = {}
-            for indices, col in source.items():
-                square: dict = {}
-                for sign, rest in differential(indices, support):
-                    row = target[rest]
-                    entries.setdefault(row, {})[col] = sign
-                    for sign2, rest2 in differential(rest, support):
-                        square[rest2] = square.get(rest2, 0) + sign * sign2
-                assert all(v == 0 for v in square.values()), "taylor d*d != 0"
-            level_maps[r] = entries
+            level_maps[r] = _differential_matrix(
+                strata_basis[(r, support)],
+                strata_basis.get((r - 1, support), {}),
+                partial(differential, support=support),
+                "taylor",
+            )
         for r, group in _homology_of_graded_maps(sizes, level_maps).items():
             strata_out[(r, support)] = group
     ordered = sorted(strata_out, key=lambda key: (key[0], lex_key(key[1])))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .bitsets import is_subset, lex_key, shuffle_sign, vertices_of
 from .complexes import SimplicialComplex
-from .errors import DegreeMismatch, NotASubcomplex, TorsionWarning
+from .errors import BasisMismatch, DegreeMismatch, NotACocycle, NotASubcomplex, TorsionWarning
 from .hochster import BigradedBetti, bigraded_betti
 from .homology import Abelian, ChainComplexZ, CohomologyBasis, Expression
 from .snf import invariant_factors, is_unimodular_square
@@ -88,7 +88,7 @@ class HochsterClass:
         )
 
 
-def _assert_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
+def _check_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
     up_faces = [
         f
         for f in complex_.faces_by_dim().get(cls.degree + 1, [])
@@ -103,7 +103,10 @@ def _assert_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
             if coeff:
                 total += sign * coeff
             sign = -sign
-        assert total == 0, "juxtaposition product failed to be a cocycle"
+        if total:
+            raise NotACocycle(
+                f"juxtaposition product has coboundary {total} on {vertices_of(face)}"
+            )
 
 
 def star_product(
@@ -130,7 +133,7 @@ def star_product(
             continue
         cochain[face] = a * b * shuffle_sign(left, right)
     result = HochsterClass(union, degree, cochain)
-    _assert_cocycle(result, complex_)
+    _check_cocycle(result, complex_)
     return result
 
 
@@ -226,7 +229,11 @@ class RingPresentation:
         """Coefficients of a class over the generators of its block."""
         expr = self.context(cls.subset).express(cls)
         block = self.block_generators(cls.subset, cls.degree)
-        assert len(expr.free) == len(block)
+        if len(expr.free) != len(block):
+            raise BasisMismatch(
+                f"{len(expr.free)} coordinates for {len(block)} generators of block "
+                f"({vertices_of(cls.subset)}, {cls.degree})"
+            )
         return [
             (g.gid, coeff) for g, coeff in zip(block, expr.free) if coeff
         ]

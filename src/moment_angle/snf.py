@@ -9,21 +9,24 @@ entry growth is merely slow, never wrong.  Two entry points:
   form.  It first eliminates on +-1 pivots in a sparse representation, which
   is where boundary-like matrices spend almost all their rank, and only then
   falls back to the dense algorithm on the tiny remaining core.
+
+The +-1 pivots are taken fill-free ones first, in one pass, and then from a
+heap ordered by Markowitz fill, so no pivot needs a scan of the whole matrix
+(see :func:`_sparse_unit_reduction`).  The pivot order never shows in a
+result: every elimination is a unimodular change of basis, and the invariant
+factors of a matrix do not depend on the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 Matrix = list  # list[list[int]]
 
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -41,12 +44,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] += v * brow[j]
         out.append(acc)
     return out
-
-
-def transpose(a: Matrix, cols: int | None = None) -> Matrix:
-    if not a:
-        return [[] for _ in range(cols)] if cols else []
-    return [list(col) for col in zip(*a)]
 
 
 def matvec(a: Matrix, x: list) -> list:
@@ -279,56 +276,109 @@ def _diag_snf(d: Matrix) -> list:
     return out
 
 
+def _eliminate(rows_map: dict, cols_map: dict, pr, pc) -> list:
+    """Clear column ``pc`` with the +-1 pivot at ``(pr, pc)`` and drop row ``pr``.
+
+    Returns the rows that were changed.
+    """
+    pivot_row = rows_map.pop(pr)
+    p = pivot_row[pc]
+    for c in pivot_row:
+        cols_map[c].discard(pr)
+    touched = list(cols_map[pc])
+    for r2 in touched:
+        row2 = rows_map[r2]
+        f = row2[pc] * p
+        for c2, val in pivot_row.items():
+            nv = row2.get(c2, 0) - f * val
+            if nv:
+                row2[c2] = nv
+                cols_map[c2].add(r2)
+            else:
+                if c2 in row2:
+                    del row2[c2]
+                    cols_map[c2].discard(r2)
+        if not row2:
+            del rows_map[r2]
+    del cols_map[pc]
+    return touched
+
+
 def _sparse_unit_reduction(rows_map: dict, cols_map: dict) -> int:
     """Eliminate on +-1 pivots in place; returns how many were eliminated.
 
-    Pivots are chosen to minimise fill, the usual Markowitz count.  After a
-    pivot's column is cleared, dropping its row amounts to implicit column
+    ``rows_map`` is ``{row: {col: value}}`` and ``cols_map`` is ``{col: set of
+    rows}``; both are kept in step, and on return no +-1 entry is left.  A
+    pivot's row is subtracted from the other rows of its column, and the
+    cleared pivot row is dropped.  Dropping it amounts to implicit column
     operations that touch nothing else, so the invariant factors of the rest
     are unchanged apart from one unit factor.
+
+    Pivot order, with no scan of the whole matrix per pivot:
+
+    * One pass in row order takes every fill-free pivot it meets: a +-1
+      entry alone in its row or in its column.  Eliminating it changes no
+      other entry (the coreductions of Mrozek and Batko).
+    * The other +-1 entries wait on a lazy heap keyed by the Markowitz fill
+      ``(len(row) - 1) * (len(col) - 1)``, then row, then column.  A popped
+      entry that is gone or no longer +-1 is skipped, and one whose fill has
+      changed is pushed back with its new fill.  After each pivot, only the
+      +-1 entries it wrote, in the rows it touched, are pushed.
+
+    The order only decides which unimodular row and column operations are
+    applied.  Invariant factors are unique, so no result depends on it.
     """
     eliminated = 0
-    while True:
-        best = None
-        for r, row in rows_map.items():
-            rl = len(row) - 1
-            for c, val in row.items():
-                if val == 1 or val == -1:
-                    fill = rl * (len(cols_map[c]) - 1)
-                    if best is None or fill < best[0] or (fill == best[0] and (r, c) < best[1:]):
-                        best = (fill, r, c)
-                        if fill == 0:
-                            break
-            if best is not None and best[0] == 0:
+    for r in list(rows_map):
+        row = rows_map.get(r)
+        if row is None:
+            continue
+        single_row = len(row) == 1
+        for c, val in row.items():
+            if (val == 1 or val == -1) and (single_row or len(cols_map[c]) == 1):
+                _eliminate(rows_map, cols_map, r, c)
+                eliminated += 1
                 break
-        if best is None:
-            return eliminated
-        _, pr, pc = best
-        pivot_row = rows_map.pop(pr)
-        p = pivot_row[pc]
-        for c in pivot_row:
-            cols_map[c].discard(pr)
-        for r2 in list(cols_map[pc]):
-            row2 = rows_map[r2]
-            f = row2[pc] * p
-            for c2, val in pivot_row.items():
-                nv = row2.get(c2, 0) - f * val
-                if nv:
-                    row2[c2] = nv
-                    cols_map[c2].add(r2)
-                else:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols_map[c2].discard(r2)
-            if not row2:
-                del rows_map[r2]
-        del cols_map[pc]
+    if not rows_map:
+        return eliminated
+
+    heap = [
+        ((len(row) - 1) * (len(cols_map[c]) - 1), r, c)
+        for r, row in rows_map.items()
+        for c, val in row.items()
+        if val == 1 or val == -1
+    ]
+    heapify(heap)
+    while heap:
+        fill, r, c = heappop(heap)
+        row = rows_map.get(r)
+        if row is None:
+            continue
+        val = row.get(c)
+        if val != 1 and val != -1:
+            continue
+        now = (len(row) - 1) * (len(cols_map[c]) - 1)
+        if now != fill:
+            heappush(heap, (now, r, c))
+            continue
         eliminated += 1
+        for r2 in _eliminate(rows_map, cols_map, r, c):
+            row2 = rows_map.get(r2)
+            if row2 is None:
+                continue
+            rl = len(row2) - 1
+            for c2 in row:  # the columns whose entries the pivot rewrote
+                val = row2.get(c2)
+                if val == 1 or val == -1:
+                    heappush(heap, (rl * (len(cols_map[c2]) - 1), r2, c2))
+    return eliminated
 
 
 def invariant_factors_sparse(entries: dict) -> list:
     """Invariant factors from a {row: {col: value}} sparse matrix."""
     rows_map = {r: dict(row) for r, row in entries.items() if row}
+    if not rows_map:
+        return []
     cols_map: dict = {}
     for r, row in rows_map.items():
         for c in row:

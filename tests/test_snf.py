@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_angle.snf import (
+    _sparse_unit_reduction,
     identity,
     invariant_factors,
+    invariant_factors_sparse,
     is_unimodular_square,
     matmul,
     smith_normal_form,
@@ -127,3 +130,76 @@ class TestUnimodularTest:
 
     def test_empty_is_unimodular(self):
         assert is_unimodular_square([])
+
+
+# entry mixes from all +-1 (every entry a pivot candidate) to nearly all zero
+VALUE_MIXES = (
+    (1, -1),
+    (0, 1, -1),
+    (0, 0, 0, 1, -1, 2),
+    (0, 0, 0, 0, 0, 0, 1, -1, 2, -3),
+    (0,) * 12 + (1, -1, 4),
+)
+
+
+@st.composite
+def sparse_matrices(draw, max_side=40):
+    rows = draw(st.integers(min_value=1, max_value=max_side))
+    cols = draw(st.integers(min_value=1, max_value=max_side))
+    mix = draw(st.sampled_from(VALUE_MIXES))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [[rnd.choice(mix) for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse_maps(matrix):
+    rows_map = {}
+    for i, row in enumerate(matrix):
+        entries = {j: v for j, v in enumerate(row) if v}
+        if entries:
+            rows_map[i] = entries
+    cols_map = {}
+    for r, row in rows_map.items():
+        for c in row:
+            cols_map.setdefault(c, set()).add(r)
+    return rows_map, cols_map
+
+
+class TestSparseReduction:
+    @given(sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_tracked_form(self, matrix):
+        assert invariant_factors(matrix) == smith_normal_form(matrix).diagonal()
+
+    @given(sparse_matrices())
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_sympy(self, matrix):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+
+        d = normalforms.smith_normal_form(Matrix(matrix), domain=ZZ)
+        expected = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+        assert invariant_factors(matrix) == expected
+
+    @given(sparse_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_unit_reduction_contract(self, matrix):
+        rows_map, cols_map = sparse_maps(matrix)
+        pivots = _sparse_unit_reduction(rows_map, cols_map)
+        assert type(pivots) is int
+        # every pivot is one unit invariant factor; the rest come from what is left
+        leftover = [
+            [rows_map[r].get(c, 0) for c in range(len(matrix[0]))] for r in sorted(rows_map)
+        ]
+        assert [1] * pivots + invariant_factors(leftover) == invariant_factors(matrix)
+        assert all(row for row in rows_map.values())
+        assert not any(v in (1, -1) for row in rows_map.values() for v in row.values())
+        for c, rs in cols_map.items():
+            assert rs == {r for r, row in rows_map.items() if c in row}
+        assert all(r in cols_map[c] for r, row in rows_map.items() for c in row)
+
+    def test_empty_matrix(self):
+        assert _sparse_unit_reduction({}, {}) == 0
+        assert invariant_factors_sparse({}) == []
+        assert invariant_factors_sparse({0: {}, 3: {}}) == []
+        assert invariant_factors([[0, 0], [0, 0]]) == []
+        assert invariant_factors([]) == []
