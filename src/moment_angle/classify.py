@@ -24,13 +24,11 @@ from .bitsets import is_subset, vertices_of
 from .complexes import SimplicialComplex
 from .errors import (
     GrammarError,
-    NotASphereCandidate,
     SphereDimBelow3,
     TorsionPresent,
     UnequalTotalDimension,
 )
-from .homology import pseudo_sphere_check
-from .hochster import BigradedBetti, bigraded_betti
+from .hochster import BigradedBetti, _require_sphere, bigraded_betti
 from .ring import RingPresentation, poincare_pairing_report, product_span_rank, ring_presentation
 
 
@@ -290,10 +288,7 @@ def csp_obstructions(
     complex_: SimplicialComplex, *, table: BigradedBetti | None = None, **kwargs
 ) -> ObstructionReport:
     """Run the structural tests a sphere-product ring must survive."""
-    check = pseudo_sphere_check(complex_)
-    if not check.passed:
-        raise NotASphereCandidate(f"sphere candidate checks failed: {check}")
-    n = check.dim
+    n = _require_sphere(complex_)
     checks: dict[str, tuple] = {}
     if n < 2:
         checks["all"] = ("inapplicable", f"dimension {n} < 2")

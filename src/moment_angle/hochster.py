@@ -20,8 +20,8 @@ from .errors import CapExceeded, NotASphereCandidate
 from .homology import (
     Abelian,
     ChainComplexZ,
-    merge_torsion,
     pseudo_sphere_check,
+    sum_groups,
 )
 
 DEFAULT_VERTEX_CAP = 24
@@ -53,32 +53,16 @@ class BigradedBetti:
 
     def total(self) -> dict:
         """Aggregate by p = |J| + d + 1: the moment-angle Betti table."""
-        ranks: dict[int, int] = {}
-        torsion: dict[int, list] = {}
-        for (subset, d), group in self.entries.items():
-            p = subset.bit_count() + d + 1
-            ranks[p] = ranks.get(p, 0) + group.rank
-            if group.torsion:
-                torsion.setdefault(p, []).append(group.torsion)
-        return {
-            p: Abelian(ranks.get(p, 0), merge_torsion(torsion.get(p, [])))
-            for p in sorted(set(ranks) | set(torsion))
-        }
+        return sum_groups(
+            (subset.bit_count() + d + 1, group) for (subset, d), group in self.entries.items()
+        )
 
     def tor_bidegrees(self) -> dict:
         """Aggregate to Tor bidegrees (i, j): i = |J| - d - 1, j = |J|."""
-        ranks: dict[tuple, int] = {}
-        torsion: dict[tuple, list] = {}
-        for (subset, d), group in self.entries.items():
-            size = subset.bit_count()
-            key = (size - d - 1, size)
-            ranks[key] = ranks.get(key, 0) + group.rank
-            if group.torsion:
-                torsion.setdefault(key, []).append(group.torsion)
-        return {
-            key: Abelian(ranks.get(key, 0), merge_torsion(torsion.get(key, [])))
-            for key in sorted(set(ranks) | set(torsion))
-        }
+        return sum_groups(
+            ((subset.bit_count() - d - 1, subset.bit_count()), group)
+            for (subset, d), group in self.entries.items()
+        )
 
     def to_json_obj(self) -> dict:
         bigraded = []

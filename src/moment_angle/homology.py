@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
 from .errors import NotACocycle, NotPure
-from .snf import identity, invariant_factors_sparse, matvec, smith_normal_form
+from .snf import identity, invariant_factors_sparse, matmul, matvec, smith_normal_form
 
 
 class Abelian(NamedTuple):
@@ -73,6 +73,32 @@ def merge_torsion(torsion_lists) -> tuple:
         for i, e in enumerate(es):
             factors[i] *= p**e
     return tuple(reversed(factors))
+
+
+def sum_groups(pairs) -> dict:
+    """Direct sums by key: ``(key, Abelian)`` pairs in, sorted ``{key: sum}`` out."""
+    ranks: dict = {}
+    torsion: dict = {}
+    for key, group in pairs:
+        ranks[key] = ranks.get(key, 0) + group.rank
+        torsion.setdefault(key, []).append(group.torsion)
+    return {key: Abelian(ranks[key], merge_torsion(torsion[key])) for key in sorted(ranks)}
+
+
+def homology_groups(sizes: dict, factors: dict) -> dict:
+    """Homology of a complex of free abelian groups, one group per key of ``sizes``.
+
+    ``sizes[k]`` is the rank of C_k and ``factors[k]`` the invariant factors
+    of the differential C_k -> C_{k-1}.  The free rank at k is the size minus
+    the ranks of the maps out of and into C_k; the torsion is the non-unit
+    factors of the map into it.  Zero groups are kept.
+    """
+    out = {}
+    for k, size in sizes.items():
+        into = factors.get(k + 1, ())
+        free = size - len(factors.get(k, ())) - len(into)
+        out[k] = Abelian(free, tuple([t for t in into if t > 1]))
+    return out
 
 
 class ChainComplexZ:
@@ -147,27 +173,16 @@ class ChainComplexZ:
         return cached
 
     def homology(self) -> dict:
-        """Reduced homology groups, degrees -1 .. top."""
-        table = self.boundary_factor_table()
-        out = {}
-        for d in range(-1, self.top + 1):
-            rank_d = len(table.get(d, ()))
-            rank_up = len(table.get(d + 1, ()))
-            free = self.n_faces(d) - rank_d - rank_up
-            torsion = tuple(t for t in table.get(d + 1, ()) if t > 1)
-            out[d] = Abelian(free, torsion)
-        return out
+        """Reduced homology groups, degrees -1 .. top, zero groups included."""
+        sizes = {d: self.n_faces(d) for d in range(-1, self.top + 1)}
+        return homology_groups(sizes, self.boundary_factor_table())
 
     def cohomology(self) -> dict:
         """Reduced cohomology groups; torsion shifts one degree up."""
-        table = self.boundary_factor_table()
-        out = {}
-        for d in range(-1, self.top + 1):
-            rank_d = len(table.get(d, ()))
-            rank_up = len(table.get(d + 1, ()))
-            free = self.n_faces(d) - rank_d - rank_up
-            torsion = tuple(t for t in table.get(d, ()) if t > 1)
-            out[d] = Abelian(free, torsion)
+        out, below = {}, ()
+        for d, g in self.homology().items():
+            out[d] = Abelian(g.rank, below)
+            below = g.torsion
         return out
 
 
@@ -212,22 +227,13 @@ class _DegreeBasis:
             rank_out = 0
             v = identity(n)
             v_inv = identity(n)
-        self._v = v
         self._v_inv = v_inv
         self.kernel_indices = list(range(rank_out, n))
         k = len(self.kernel_indices)
         # coboundary images of (d-1)-cochains, written in kernel coordinates
         delta_in = cc.coboundary_matrix(d - 1)
         n_down = cc.n_faces(d - 1)
-        coords = []
-        for row_idx in self.kernel_indices:
-            vrow = v_inv[row_idx]
-            coords.append(
-                [
-                    sum(vrow[i] * delta_in[i][j] for i in range(n) if delta_in[i][j])
-                    for j in range(n_down)
-                ]
-            )
+        coords = matmul([v_inv[i] for i in self.kernel_indices], delta_in)
         if k and n_down:
             quo = smith_normal_form(coords, rows=k, cols=n_down)
             diag = [quo.d[i][i] for i in range(min(k, n_down))]
@@ -244,14 +250,9 @@ class _DegreeBasis:
         # representatives: kernel basis combined through columns of u_c^-1
         self.representatives = []
         self.signs = []
-        for idx in self.free_indices:
-            w = [u_c_inv[r][idx] for r in range(k)]
-            vec = [0] * n
-            for r, kcol in enumerate(self.kernel_indices):
-                if w[r]:
-                    for i in range(n):
-                        if v[i][kcol]:
-                            vec[i] += w[r] * v[i][kcol]
+        kernel_basis = [[row[c] for row in v] for c in self.kernel_indices]
+        weights = [[row[idx] for row in u_c_inv] for idx in self.free_indices]
+        for vec in matmul(weights, kernel_basis):
             sign = 1
             for x in vec:
                 if x:
@@ -263,9 +264,8 @@ class _DegreeBasis:
     def express(self, vec: list) -> Expression:
         if len(vec) != self.n:
             raise NotACocycle(f"cochain has length {len(vec)}, expected {self.n}")
-        for row in self.delta_out:
-            if sum(row[i] * vec[i] for i in range(self.n) if row[i]):
-                raise NotACocycle("coboundary of the cochain is nonzero")
+        if any(matvec(self.delta_out, vec)):
+            raise NotACocycle("coboundary of the cochain is nonzero")
         y = matvec(self._v_inv, vec)
         w = [y[i] for i in self.kernel_indices]
         z = matvec(self._u_c, w)

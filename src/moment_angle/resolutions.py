@@ -23,7 +23,7 @@ from itertools import combinations
 from .bitsets import iter_vertices, lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
-from .homology import Abelian, merge_torsion
+from .homology import Abelian, homology_groups, sum_groups
 from .snf import invariant_factors_sparse
 
 TAYLOR_GENERATOR_CAP = 20
@@ -40,36 +40,7 @@ class TorTable:
 
     def total(self) -> dict:
         """Aggregate to single degrees p = 2j - i."""
-        ranks: dict[int, int] = {}
-        torsion: dict[int, list] = {}
-        for (i, j), group in self.entries.items():
-            p = 2 * j - i
-            ranks[p] = ranks.get(p, 0) + group.rank
-            if group.torsion:
-                torsion.setdefault(p, []).append(group.torsion)
-        return {
-            p: Abelian(ranks.get(p, 0), merge_torsion(torsion.get(p, [])))
-            for p in sorted(set(ranks) | set(torsion))
-        }
-
-
-def _homology_of_graded_maps(sizes: dict, maps: dict) -> dict:
-    """Group at each level of a cochain complex given sparse matrices.
-
-    ``maps[k]`` sends level k to level k - 1 (the label convention of both
-    complexes here, where the exterior degree drops).  Ranks come from the
-    invariant factors; torsion at level k comes from the incoming map.
-    """
-    factors = {k: invariant_factors_sparse(mat) for k, mat in maps.items()}
-    out = {}
-    for k, size in sizes.items():
-        rank_out = len(factors.get(k, ()))
-        rank_in = len(factors.get(k + 1, ()))
-        free = size - rank_out - rank_in
-        torsion = tuple(t for t in factors.get(k + 1, ()) if t > 1)
-        if free or torsion:
-            out[k] = Abelian(free, torsion)
-    return out
+        return sum_groups((2 * j - i, group) for (i, j), group in self.entries.items())
 
 
 def _differential_matrix(source: dict, target: dict, differential, method: str) -> dict:
@@ -77,14 +48,19 @@ def _differential_matrix(source: dict, target: dict, differential, method: str) 
 
     Both bases map a basis element to its index; ``differential(key)`` lists
     ``(sign, key)`` terms.  d o d = 0 is checked on every source element,
-    and a failure raises :class:`NotAChainComplex`.
+    and a failure raises :class:`NotAChainComplex`; each target's own terms
+    are computed once for that check.
     """
     entries: dict[int, dict[int, int]] = {}
+    below: dict = {}
     for key, col in source.items():
         square: dict = {}
         for sign, key2 in differential(key):
             entries.setdefault(target[key2], {})[col] = sign
-            for sign2, key3 in differential(key2):
+            terms = below.get(key2)
+            if terms is None:
+                terms = below[key2] = differential(key2)
+            for sign2, key3 in terms:
                 square[key3] = square.get(key3, 0) + sign * sign2
         if any(square.values()):
             raise NotAChainComplex(f"{method} d*d != 0 on {key}")
@@ -140,19 +116,20 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
                 terms.append((_koszul_sign(v, sigma), (sigma & ~bit, new_tau)))
         return terms
 
-    maps: dict[tuple, dict] = {}
-    for (i, j), source in index.items():
-        if i == 0:
-            continue
-        maps[(i, j)] = _differential_matrix(source, index.get((i - 1, j), {}), differential, "koszul")
-
     # homology per fixed second grading j
     entries_out: dict[tuple, Abelian] = {}
     for j in sorted({key[1] for key in index}):
-        sizes = {i2: len(monos) for (i2, j2), monos in index.items() if j2 == j}
-        level_maps = {i2: mat for (i2, j2), mat in maps.items() if j2 == j}
-        for i, group in _homology_of_graded_maps(sizes, level_maps).items():
-            entries_out[(i, j)] = group
+        sizes = {i: len(monos) for (i, j2), monos in index.items() if j2 == j}
+        factors = {
+            i: invariant_factors_sparse(
+                _differential_matrix(index[(i, j)], index.get((i - 1, j), {}), differential, "koszul")
+            )
+            for i in sizes
+            if i
+        }
+        for i, group in homology_groups(sizes, factors).items():
+            if not group.is_zero:
+                entries_out[(i, j)] = group
     ordered = sorted(entries_out)
     return TorTable(entries={key: entries_out[key] for key in ordered})
 
@@ -218,18 +195,11 @@ class TaylorTable:
         return self.strata.get((r, support), Abelian(0, ()))
 
     def bidegrees(self) -> TorTable:
-        ranks: dict[tuple, int] = {}
-        torsion: dict[tuple, list] = {}
-        for (r, support), group in self.strata.items():
-            key = (r, support.bit_count())
-            ranks[key] = ranks.get(key, 0) + group.rank
-            if group.torsion:
-                torsion.setdefault(key, []).append(group.torsion)
-        entries = {
-            key: Abelian(ranks.get(key, 0), merge_torsion(torsion.get(key, [])))
-            for key in sorted(set(ranks) | set(torsion))
-        }
-        return TorTable(entries=entries)
+        return TorTable(
+            entries=sum_groups(
+                ((r, support.bit_count()), group) for (r, support), group in self.strata.items()
+            )
+        )
 
 
 def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
@@ -270,18 +240,21 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
     supports = sorted({s for _, s in strata_basis}, key=lex_key)
     for support in supports:
         sizes = {r: len(strata_basis[(r, support)]) for r, s in strata_basis if s == support}
-        level_maps: dict[int, dict] = {}
-        for r in sizes:
-            if r == 0:
-                continue
-            level_maps[r] = _differential_matrix(
-                strata_basis[(r, support)],
-                strata_basis.get((r - 1, support), {}),
-                partial(differential, support=support),
-                "taylor",
+        factors = {
+            r: invariant_factors_sparse(
+                _differential_matrix(
+                    strata_basis[(r, support)],
+                    strata_basis.get((r - 1, support), {}),
+                    partial(differential, support=support),
+                    "taylor",
+                )
             )
-        for r, group in _homology_of_graded_maps(sizes, level_maps).items():
-            strata_out[(r, support)] = group
+            for r in sizes
+            if r
+        }
+        for r, group in homology_groups(sizes, factors).items():
+            if not group.is_zero:
+                strata_out[(r, support)] = group
     ordered = sorted(strata_out, key=lambda key: (key[0], lex_key(key[1])))
     return TaylorTable(missing=missing, strata={key: strata_out[key] for key in ordered})
 

@@ -1,14 +1,15 @@
 """Exact integer matrix reduction: Smith normal form and invariant factors.
 
 Matrices are lists of rows of Python ints, so every computation is exact and
-entry growth is merely slow, never wrong.  Two entry points:
+entry growth is merely slow, never wrong.  One dense pivot loop,
+:func:`_reduce`, does all Smith-form work, and it has two entry points:
 
-* :func:`smith_normal_form` tracks the full unimodular transforms (and their
-  inverses) and is meant for the small matrices behind explicit cocycle bases.
-* :func:`invariant_factors` only returns the nonzero diagonal of the Smith
-  form.  It first eliminates on +-1 pivots in a sparse representation, which
-  is where boundary-like matrices spend almost all their rank, and only then
-  falls back to the dense algorithm on the tiny remaining core.
+* :func:`smith_normal_form` hands it the unimodular transforms (and their
+  inverses) to update, for the small matrices behind explicit cocycle bases.
+* :func:`_diag_snf` runs it untracked and keeps only the nonzero diagonal.
+  :func:`invariant_factors` gets there after first eliminating on +-1
+  pivots in a sparse representation, which is where boundary-like matrices
+  spend almost all their rank, so the dense loop only sees a tiny core.
 
 The +-1 pivots are taken fill-free ones first, in one pass, and then from a
 heap ordered by Markowitz fill, so no pivot needs a scan of the whole matrix
@@ -85,68 +86,69 @@ def _find_pivot(d: Matrix, t: int, rows: int, cols: int):
     return best
 
 
-def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = None) -> SNFResult:
-    """Dense Smith normal form with tracked transforms.
+def _sub_row(target: list, source: list, q: int) -> None:
+    """target -= q * source, entry by entry."""
+    for k, x in enumerate(source):
+        if x:
+            target[k] -= q * x
+
+
+def _sub_col(mat: Matrix, j: int, i: int, q: int) -> None:
+    """Column j of ``mat`` -= q * column i."""
+    for r in mat:
+        if r[i]:
+            r[j] -= q * r[i]
+
+
+def _reduce(d: Matrix, rows: int, cols: int, tracked: tuple | None = None) -> list:
+    """Reduce ``d`` in place to Smith form; returns its nonzero diagonal.
 
     Pivot rule: smallest absolute value, ties broken in row-major order, so
-    the output (and everything derived from it) is deterministic.
+    the output (and everything derived from it) is deterministic.  When
+    ``tracked`` is ``(u, u_inv, v, v_inv)``, every row operation is copied
+    into ``u`` and ``u_inv`` and every column operation into ``v`` and
+    ``v_inv``, so that ``U @ M @ V == D`` holds throughout.
     """
-    if rows is None:
-        rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    d = [list(row) for row in m]
-    u = identity(rows)
-    u_inv = identity(rows)
-    v = identity(cols)
-    v_inv = identity(cols)
+    if tracked:
+        u, u_inv, v, v_inv = tracked
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+        if tracked:
+            u[i], u[j] = u[j], u[i]
+            for r in u_inv:
+                r[i], r[j] = r[j], r[i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        if tracked:
+            u[i] = [-x for x in u[i]]
+            for r in u_inv:
+                r[i] = -r[i]
 
     def row_axpy(i, j, q):
         # row i -= q * row j
-        di, dj = d[i], d[j]
-        for k in range(cols):
-            if dj[k]:
-                di[k] -= q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(rows):
-            if uj[k]:
-                ui[k] -= q * uj[k]
-        for r in u_inv:
-            if r[i]:
-                r[j] += q * r[i]
+        _sub_row(d[i], d[j], q)
+        if tracked:
+            _sub_row(u[i], u[j], q)
+            _sub_col(u_inv, j, i, -q)
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        if tracked:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_axpy(j, i, q):
         # col j -= q * col i
-        for r in d:
-            if r[i]:
-                r[j] -= q * r[i]
-        for r in v:
-            if r[i]:
-                r[j] -= q * r[i]
-        vi, vj = v_inv[i], v_inv[j]
-        for k in range(cols):
-            if vj[k]:
-                vi[k] += q * vj[k]
+        _sub_col(d, j, i, q)
+        if tracked:
+            _sub_col(v, j, i, q)
+            _sub_row(v_inv[i], v_inv[j], -q)
 
+    diagonal = []
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -167,7 +169,8 @@ def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = Non
                 a = d[i][t]
                 if a:
                     q, rem = divmod(a, d[t][t])
-                    row_axpy(i, t, q)
+                    if q:
+                        row_axpy(i, t, q)
                     if rem:
                         row_swap(t, i)
                         dirty = True
@@ -178,7 +181,8 @@ def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = Non
                 a = d[t][j]
                 if a:
                     q, rem = divmod(a, d[t][t])
-                    col_axpy(j, t, q)
+                    if q:
+                        col_axpy(j, t, q)
                     if rem:
                         col_swap(t, j)
                         dirty = True
@@ -200,80 +204,26 @@ def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = Non
             if offender is None:
                 break
             col_axpy(t, offender, -1)  # col t += col offender
+        diagonal.append(d[t][t])
         t += 1
+    return diagonal
+
+
+def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = None) -> SNFResult:
+    """Dense Smith normal form with tracked transforms (and their inverses)."""
+    if rows is None:
+        rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    d = [list(row) for row in m]
+    u, u_inv, v, v_inv = identity(rows), identity(rows), identity(cols), identity(cols)
+    _reduce(d, rows, cols, (u, u_inv, v, v_inv))
     return SNFResult(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv, rows=rows, cols=cols)
 
 
 def _diag_snf(d: Matrix) -> list:
-    """Nonzero Smith diagonal of a dense matrix, no transform tracking."""
-    rows = len(d)
-    cols = len(d[0]) if d else 0
-    t = 0
-    limit = min(rows, cols)
-    out = []
-    while t < limit:
-        pivot = _find_pivot(d, t, rows, cols)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-        if pj != t:
-            for r in d:
-                r[t], r[pj] = r[pj], r[t]
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-        while True:
-            dirty = False
-            i = t + 1
-            while i < rows:
-                a = d[i][t]
-                if a:
-                    q, rem = divmod(a, d[t][t])
-                    if q:
-                        di, dt = d[i], d[t]
-                        for k in range(t, cols):
-                            if dt[k]:
-                                di[k] -= q * dt[k]
-                    if rem:
-                        d[t], d[i] = d[i], d[t]
-                        dirty = True
-                        continue
-                i += 1
-            j = t + 1
-            while j < cols:
-                a = d[t][j]
-                if a:
-                    q, rem = divmod(a, d[t][t])
-                    if q:
-                        for r in d:
-                            if r[t]:
-                                r[j] -= q * r[t]
-                    if rem:
-                        for r in d:
-                            r[t], r[j] = r[j], r[t]
-                        dirty = True
-                        break
-                j += 1
-            if dirty:
-                continue
-            p = d[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                row = d[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p:
-                        offender = j
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for r in d:
-                r[t] += r[offender]
-        out.append(d[t][t])
-        t += 1
-    return out
+    """Nonzero Smith diagonal of a dense matrix, reduced in place, untracked."""
+    return _reduce(d, len(d), len(d[0]) if d else 0)
 
 
 def _eliminate(rows_map: dict, cols_map: dict, pr, pc) -> list:
@@ -404,10 +354,6 @@ def invariant_factors(m: Matrix) -> list:
         if sparse_row:
             entries[i] = sparse_row
     return invariant_factors_sparse(entries)
-
-
-def rank(m: Matrix) -> int:
-    return len(invariant_factors(m))
 
 
 def is_unimodular_square(m: Matrix) -> bool:

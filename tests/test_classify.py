@@ -1,5 +1,6 @@
 """Sphere-product models, induced cycles, and the obstruction battery."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from moment_angle import (
     polygon,
     two_points,
     verify_csp_model,
+    vertices_of,
     zk_betti,
 )
 from moment_angle.classify import model_degree_contributions, model_product_rank
@@ -166,6 +168,42 @@ class TestInducedCycles:
     def test_min_len_below_four_rejected(self, p28):
         with pytest.raises(ValueError):
             induced_cycles(p28, 3, 5)
+
+
+class TestInducedCyclesOracle:
+    """``induced_cycles`` against networkx's chordless cycles of the edge graph."""
+
+    @staticmethod
+    def chordless_vertex_sets(complex_):
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, complex_.m + 1))
+        graph.add_edges_from(vertices_of(e) for e in complex_.faces_by_dim().get(1, []))
+        return {frozenset(c) for c in nx.chordless_cycles(graph) if len(c) >= 4}
+
+    def check(self, complex_):
+        expected = self.chordless_vertex_sets(complex_)
+        found = induced_cycles(complex_, 4, max(complex_.m, 4))
+        assert len(found) == len(set(map(frozenset, found)))
+        assert set(map(frozenset, found)) == expected
+        return len(expected)
+
+    def test_p28(self, p28):
+        assert self.check(p28) == 1
+
+    def test_corpus(self, corpus):
+        for complex_ in corpus:
+            self.check(complex_)
+
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        cycles = 0
+        for _ in range(200):
+            m = rng.randint(4, 10)
+            edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.4]
+            graph = SimplicialComplex(m, edges + [(v,) for v in range(1, m + 1)])
+            cycles += self.check(graph)
+        assert cycles > 0
 
 
 class TestObstructions:

@@ -172,6 +172,21 @@ class TestReports:
         assert "all checks passed" in out
 
 
+class TestGoldenOutputs:
+    """Byte-exact JSON reports on the paper's sphere (``tests/data/p28_zk.json``
+    pins the Betti table, in ``test_hochster.py``)."""
+
+    def test_ring_json_is_golden(self, capsys):
+        code, out, _ = run_cli(["ring", str(DATA / "p28_8.cplx"), "--json"], capsys)
+        assert code == 0
+        assert out == (DATA / "p28_ring.json").read_text()
+
+    def test_paper_json_is_golden(self, capsys):
+        code, out, _ = run_cli(["paper", "--json"], capsys)
+        assert code == 0
+        assert out == (DATA / "p28_paper.json").read_text()
+
+
 class TestSubprocess:
     def test_module_invocation_is_byte_deterministic(self, tmp_path):
         quad = tmp_path / "quad.cplx"

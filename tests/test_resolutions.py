@@ -5,6 +5,7 @@ import pytest
 from moment_angle import (
     Abelian,
     SimplicialComplex,
+    bigraded_betti,
     boundary_simplex,
     cross_check,
     koszul_basis_size,
@@ -18,6 +19,7 @@ from moment_angle import (
     vertices_of,
 )
 from moment_angle.errors import CapExceeded
+from test_homology import RP2
 
 Z = Abelian(1, ())
 
@@ -150,3 +152,38 @@ class TestCrossCheck:
         with pytest.raises(MethodDisagreement) as info:
             cross_check(quad, table=table)
         assert info.value.bidegree == (1, 2)  # |J| - d - 1 = 1, |J| = 2
+
+
+class TestTorsionGoldens:
+    """Torsion in H*(Z_K) over the 6-vertex RP^2 and two of its joins.
+
+    These are the inputs whose Smith forms keep a non-unit core (the dense
+    path of the sparse reduction) and whose Z/2 summands from several full
+    subcomplexes are merged into one degree.
+    """
+
+    CASES = {
+        "RP2": (RP2, {9: Abelian(0, (2,))}, {(3, 6): Abelian(0, (2,))}),
+        "RP2 * S0": (
+            RP2.join(two_points()),
+            {9: Abelian(15, (2,)), 12: Abelian(0, (2,))},
+            {(3, 6): Abelian(15, (2,)), (4, 8): Abelian(0, (2,))},
+        ),
+        "RP2 * square": (
+            RP2.join(polygon(4)),
+            {9: Abelian(30, (2,)), 12: Abelian(15, (2, 2)), 15: Abelian(0, (2,))},
+            {(3, 6): Abelian(30, (2,)), (4, 8): Abelian(15, (2, 2)), (5, 10): Abelian(0, (2,))},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_torsion_in_all_three_methods(self, name):
+        complex_, total_torsion, tor_torsion = self.CASES[name]
+        table = bigraded_betti(complex_)
+        total = table.total()
+        assert {p: g for p, g in total.items() if g.torsion} == total_torsion
+        tor = table.tor_bidegrees()
+        assert {k: g for k, g in tor.items() if g.torsion} == tor_torsion
+        assert cross_check(complex_, table=table).ok
+        assert koszul_bigraded(complex_).total() == total
+        assert taylor_bigraded(complex_).bidegrees().total() == total
