@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .bitsets import is_subset, lex_key, shuffle_sign, vertices_of
+from .bitsets import is_subset, lex_key, mask_of, shuffle_sign, vertices_of
 from .complexes import SimplicialComplex
 from .errors import BasisMismatch, DegreeMismatch, NotACocycle, NotASubcomplex, TorsionWarning
 from .hochster import BigradedBetti, bigraded_betti
@@ -185,9 +185,12 @@ class RingPresentation:
     """Additive basis of the moment-angle cohomology with all pair products.
 
     Generators cover every nonzero (subset, degree) block of positive total
-    degree (the unit class is left implicit).  ``products[(g, h)]`` lists
-    (generator id, coefficient) pairs expressing the product of the free
-    representatives; torsion blocks are excluded with a warning.
+    degree (the unit class is left implicit); the generators of one block
+    have consecutive ids.  ``products`` is sparse: it holds only the pairs
+    ``(g, h)`` whose product is nonzero, mapped to the (generator id,
+    coefficient) pairs expressing the product of the free representatives.
+    Read products through ``product()``, which gives ``()`` for every other
+    pair.  Torsion blocks are excluded with a warning.
     """
 
     complex: SimplicialComplex
@@ -197,7 +200,7 @@ class RingPresentation:
     fundamental_id: int | None
     has_torsion: bool
     _contexts: dict = field(default_factory=dict, repr=False)
-    _by_address: dict = field(default_factory=dict, repr=False)
+    _blocks: dict = field(default_factory=dict, repr=False)  # (subset, degree) -> gid range
 
     def context(self, subset: int) -> _BlockContext:
         ctx = self._contexts.get(subset)
@@ -212,14 +215,24 @@ class RingPresentation:
     def find(self, subset, degree: int, index: int = 0) -> RingGenerator:
         """Generator by its (subset, degree, index) address."""
         if not isinstance(subset, int):
-            from .bitsets import mask_of
-
             subset = mask_of(subset)
-        return self._by_address[(subset, degree, index)]
+        block = self.block_generators(subset, degree)
+        if not 0 <= index < len(block):
+            raise KeyError((subset, degree, index))
+        return block[index]
 
     def block_generators(self, subset: int, degree: int) -> list:
+        """Generators of one block, read from the ids recorded for it.
+
+        Entries that no longer carry the block's address are dropped, so a
+        presentation whose generator list was altered yields a short block
+        and ``express_class`` refuses it.
+        """
+        gids = self._blocks.get((subset, degree), range(0))
         return [
-            g for g in self.generators if g.subset == subset and g.degree == degree
+            g
+            for g in self.generators[gids.start : gids.stop]
+            if g.subset == subset and g.degree == degree
         ]
 
     def degree_generators(self, p: int) -> list:
@@ -239,7 +252,11 @@ class RingPresentation:
         ]
 
     def product(self, gid1: int, gid2: int) -> tuple:
-        return self.products[(gid1, gid2)]
+        """Terms of the product of two generators; ``()`` when it is zero."""
+        for gid in (gid1, gid2):
+            if not 0 <= gid < len(self.generators):
+                raise KeyError(gid)
+        return self.products.get((gid1, gid2), ())
 
     def product_class(self, gids) -> HochsterClass:
         """Fold the juxtaposition product over a sequence of generators."""
@@ -288,26 +305,35 @@ def ring_presentation(
         if subset.bit_count() + d + 1 > 0 and table.entries[(subset, d)].rank > 0
     ]
     keys.sort(key=lambda key: (key[0].bit_count() + key[1] + 1, lex_key(key[0]), key[1]))
+    generators = presentation.generators
     for subset, d in keys:
-        ctx = presentation.context(subset)
-        for index, cls in enumerate(ctx.classes(d)):
-            gid = len(presentation.generators)
-            gen = RingGenerator(gid=gid, subset=subset, degree=d, index=index, cls=cls)
-            presentation.generators.append(gen)
-            presentation._by_address[(subset, d, index)] = gen
+        start = len(generators)
+        for index, cls in enumerate(presentation.context(subset).classes(d)):
+            generators.append(
+                RingGenerator(gid=len(generators), subset=subset, degree=d, index=index, cls=cls)
+            )
+        presentation._blocks[(subset, d)] = range(start, len(generators))
     full = (1 << complex_.m) - 1
-    top = presentation._by_address.get((full, complex_.dim(), 0))
-    if top is not None and table.group(full, complex_.dim()) == Abelian(1, ()):
-        presentation.fundamental_id = top.gid
-    for g in presentation.generators:
-        for h in presentation.generators:
-            prod = star_product(g.cls, h.cls, complex_)
-            if prod.is_zero:
-                presentation.products[(g.gid, h.gid)] = ()
-            else:
-                presentation.products[(g.gid, h.gid)] = tuple(
-                    presentation.express_class(prod)
-                )
+    top = presentation._blocks.get((full, complex_.dim()))
+    if top and table.group(full, complex_.dim()) == Abelian(1, ()):
+        presentation.fundamental_id = top.start
+    # Products of the blocks over I and J land in the block over I | J and
+    # vanish unless I and J are disjoint; a target block without free
+    # generators has no coordinates, so only disjoint pairs with a free
+    # target are multiplied (Baskakov's rule).
+    blocks = presentation._blocks
+    for (s1, d1), gids1 in blocks.items():
+        for (s2, d2), gids2 in blocks.items():
+            if s1 & s2 or (s1 | s2, d1 + d2 + 1) not in blocks:
+                continue
+            for g in generators[gids1.start : gids1.stop]:
+                for h in generators[gids2.start : gids2.stop]:
+                    prod = star_product(g.cls, h.cls, complex_)
+                    if prod.is_zero:
+                        continue
+                    terms = tuple(presentation.express_class(prod))
+                    if terms:
+                        presentation.products[(g.gid, h.gid)] = terms
     return presentation
 
 
@@ -390,7 +416,7 @@ def poincare_pairing_report(presentation: RingPresentation) -> PairingReport:
             row = []
             for h in right:
                 coeff = 0
-                for gid, c in presentation.products[(g.gid, h.gid)]:
+                for gid, c in presentation.product(g.gid, h.gid):
                     if gid == fid:
                         coeff = c
                 row.append(coeff)
@@ -412,7 +438,6 @@ class FunctorialityReport:
 
 def _push_class(cls: HochsterClass, parents: tuple) -> HochsterClass:
     """Relabel a class on a full subcomplex into parent coordinates."""
-    from .bitsets import mask_of
 
     def push_mask(mask: int) -> int:
         return mask_of(parents[i - 1] for i in vertices_of(mask))
@@ -437,8 +462,6 @@ def functoriality_check(
     through the recorded relabeling must commute with the cochain-level
     product exactly, not just up to coboundary.
     """
-    from .bitsets import mask_of
-
     if not isinstance(subset, int):
         subset = mask_of(subset)
     if subset & ~((1 << complex_.m) - 1):

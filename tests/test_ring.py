@@ -1,21 +1,29 @@
 """Cup products: the golden relations of the 8-vertex sphere and ring APIs."""
 
+import hashlib
+import json
+
 import pytest
+from test_homology import RP2
 
 from moment_angle import (
     HochsterClass,
+    construct_p28_8,
     cross_polytope,
     functoriality_check,
     mask_of,
     poincare_pairing_report,
     polygon,
     product_span_rank,
+    random_complexes,
     ring_presentation,
     star_product,
     triple_product_rank,
+    truncated_simplex,
     vertices_of,
 )
 from moment_angle.errors import DegreeMismatch
+from moment_angle.ring import ring_json_obj
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +176,49 @@ class TestFunctoriality:
 
         with pytest.raises(NotASubcomplex):
             functoriality_check(p28, (7, 8, 9))
+
+
+def reference_products(presentation):
+    """Every ordered generator pair multiplied and expressed in the basis."""
+    out = {}
+    for g in presentation.generators:
+        for h in presentation.generators:
+            prod = star_product(g.cls, h.cls, presentation.complex)
+            out[(g.gid, h.gid)] = () if prod.is_zero else tuple(presentation.express_class(prod))
+    return out
+
+
+ORACLE_INPUTS = [
+    pytest.param(construct_p28_8(), id="p28"),
+    pytest.param(RP2, id="rp2", marks=pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")),
+    *(pytest.param(polygon(m), id=f"polygon{m}") for m in range(5, 9)),
+    pytest.param(truncated_simplex(3, 6), id="truncated_simplex(3,6)"),
+    *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
+]
+
+
+class TestBlockProducts:
+    """The presentation multiplies only disjoint blocks with a free target."""
+
+    @pytest.mark.parametrize("complex_", ORACLE_INPUTS)
+    def test_skipped_pairs_are_zero(self, complex_):
+        presentation = ring_presentation(complex_)
+        reference = reference_products(presentation)
+        assert presentation.products == {key: terms for key, terms in reference.items() if terms}
+        for (g, h), terms in reference.items():
+            if not terms:
+                assert presentation.product(g, h) == ()
+
+    def test_polygon_10_golden(self):
+        presentation = ring_presentation(polygon(10))
+        payload = ring_json_obj(presentation)
+        assert len(presentation.generators) == 1539
+        assert len(payload["products"]) == 2030
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        # ring_json_obj of the loop that multiplied every generator pair
+        assert digest == "c440c77527a752e8d9d93e40c44a99fe8abc7cbaf1b3b4d32c1d2ec3152fb09f"
+
+    def test_unknown_generator_is_refused(self):
+        presentation = ring_presentation(polygon(4))
+        with pytest.raises(KeyError):
+            presentation.product(0, len(presentation.generators))
