@@ -22,8 +22,12 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of 1-based labels of a bitmask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """Sorted tuple of 1-based labels of a bitmask.
+
+    Reads the binary digits once, lowest first, so the cost is linear in the
+    bit length even for masks of millions of bits.
+    """
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1")
 
 
 def iter_vertices(mask: int) -> Iterator[int]:

@@ -10,7 +10,7 @@ returns, and its reduced (-1)-homology is Z.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .bitsets import (
@@ -79,9 +79,12 @@ class SimplicialComplex:
         self.parent_vertices = parent_vertices
         self._cache = {}
         if not allow_ghosts and self.facets:
-            ghosts = self.ghost_vertices()
+            ghosts = full & ~self.vertex_support()
             if ghosts:
-                raise IsolatedVertex(f"vertices {ghosts} lie in no facet")
+                count = ghosts.bit_count()
+                first = ", ".join(map(str, islice(iter_vertices(ghosts), 5)))
+                more = ", ..." if count > 5 else ""
+                raise IsolatedVertex(f"{count} vertices lie in no facet: {first}{more}")
 
     # -- identity ---------------------------------------------------------
 
@@ -145,6 +148,27 @@ class SimplicialComplex:
                 grouped.setdefault(f.bit_count() - 1, []).append(f)
             cached = {d: sorted(fs, key=lex_key) for d, fs in sorted(grouped.items())}
             self._cache["faces_by_dim"] = cached
+        return cached
+
+    def boundary_table(self) -> dict:
+        """Boundary column of every face: ``{face: {face minus v: +-1}}``.
+
+        Signs alternate with the position of ``v`` in increasing label order,
+        starting at +1, so a vertex maps to ``{0: 1}`` (the augmentation) and
+        the empty face to ``{}``.  A full subcomplex contains every face of
+        each of its faces, so its boundary columns are entries of this table.
+        """
+        cached = self._cache.get("boundary_table")
+        if cached is None:
+            cached = {}
+            for f in self.face_set():
+                column = {}
+                sign = 1
+                for v in iter_vertices(f):
+                    column[f & ~(1 << (v - 1))] = sign
+                    sign = -sign
+                cached[f] = column
+            self._cache["boundary_table"] = cached
         return cached
 
     def faces(self, d: int) -> list:
@@ -220,14 +244,15 @@ class SimplicialComplex:
 
     def subset_faces_by_dim(self, subset) -> dict:
         """Faces of the full subcomplex in *parent* labels, grouped by dim."""
-        mask = _as_mask(subset)
+        outside = ~_as_mask(subset)
         out: dict[int, list] = {-1: [0]}
         for d, fs in self.faces_by_dim().items():
             if d < 0:
                 continue
-            kept = [f for f in fs if is_subset(f, mask)]
-            if kept:
-                out[d] = kept
+            kept = [f for f in fs if not f & outside]
+            if not kept:
+                break  # every face of K_J has a face one dimension lower
+            out[d] = kept
         return out
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bitsets import is_subset, lex_key, vertices_of
+from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, NotASphereCandidate
 from .homology import (
@@ -85,8 +85,9 @@ class BigradedBetti:
 
 def _covered_by_missing(subset: int, missing: tuple) -> bool:
     covered = 0
+    outside = ~subset
     for mf in missing:
-        if is_subset(mf, subset):
+        if not mf & outside:
             covered |= mf
             if covered == subset:
                 return True
@@ -135,7 +136,7 @@ def bigraded_betti(
         )
     if threads is None:
         threads = _thread_default()
-    subsets = list(range(1 << complex_.m))
+    subsets = range(1 << complex_.m)  # slices of a range pickle as three ints
     if threads <= 1 or len(subsets) < 64:
         batches = [_batch_worker((complex_, subsets, prune))]
     else:

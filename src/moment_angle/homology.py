@@ -13,6 +13,7 @@ from the fully tracked Smith normal form in :class:`CohomologyBasis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .bitsets import iter_vertices
@@ -105,24 +106,34 @@ class ChainComplexZ:
     """Reduced chain complex of an explicit face list.
 
     ``faces_by_dim`` maps each degree d >= -1 to the ordered list of d-face
-    masks.  The face lists may come from a complex or from a full subcomplex
-    kept in parent labels; only the relative order of vertex labels matters.
+    masks, and ``columns`` maps each face to its boundary column, as in
+    :meth:`SimplicialComplex.boundary_table`.  The face lists may come from
+    a complex or from a full subcomplex kept in parent labels; only the
+    relative order of vertex labels matters.
+
+    Invariant factors come from the complex's cached boundary table, keyed
+    by face masks, so building the complex of one subset re-derives nothing.
+    ``boundary_entries`` is the local-index form, used by cocycle bases.
     """
 
-    def __init__(self, faces_by_dim: dict):
-        self.faces = {d: list(fs) for d, fs in faces_by_dim.items() if fs}
-        self.index = {
-            d: {f: i for i, f in enumerate(fs)} for d, fs in self.faces.items()
-        }
+    def __init__(self, faces_by_dim: dict, columns: dict):
+        self.faces = {d: fs for d, fs in faces_by_dim.items() if fs}
+        self.columns = columns
         self.top = max(self.faces) if self.faces else -1
+        self._factors = None
 
     @classmethod
     def of_complex(cls, complex_: SimplicialComplex) -> "ChainComplexZ":
-        return cls(complex_.faces_by_dim())
+        return cls(complex_.faces_by_dim(), complex_.boundary_table())
 
     @classmethod
     def of_subset(cls, complex_: SimplicialComplex, subset: int) -> "ChainComplexZ":
-        return cls(complex_.subset_faces_by_dim(subset))
+        return cls(complex_.subset_faces_by_dim(subset), complex_.boundary_table())
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each face within its degree: d -> {face: i}."""
+        return {d: {f: i for i, f in enumerate(fs)} for d, fs in self.faces.items()}
 
     def n_faces(self, d: int) -> int:
         return len(self.faces.get(d, ()))
@@ -162,15 +173,23 @@ class ChainComplexZ:
         return mat
 
     def boundary_factor_table(self) -> dict:
-        """Invariant factors of every boundary matrix, degree -1 .. top + 1."""
-        cached = getattr(self, "_factors", None)
-        if cached is None:
-            cached = {
-                d: invariant_factors_sparse(self.boundary_entries(d))
-                for d in range(-1, self.top + 2)
-            }
-            self._factors = cached
-        return cached
+        """Invariant factors of every boundary matrix, degree -1 .. top + 1.
+
+        The complex is reduced, so the augmentation C_0 -> C_-1 has the
+        single factor 1 whenever there are vertices, and nothing maps out
+        of C_-1.  For d >= 1 the rows are the d-faces' boundary columns
+        read from ``columns``: the transpose of ``boundary_entries(d)``,
+        which has the same invariant factors.
+        """
+        if self._factors is None:
+            columns = self.columns
+            factors = {-1: [], 0: [1] if self.n_faces(0) else []}
+            for d in range(1, self.top + 2):
+                factors[d] = invariant_factors_sparse(
+                    {f: columns[f] for f in self.faces.get(d, ())}
+                )
+            self._factors = factors
+        return self._factors
 
     def homology(self) -> dict:
         """Reduced homology groups, degrees -1 .. top, zero groups included."""

@@ -79,6 +79,14 @@ class TestConstruction:
         ghosted = SimplicialComplex(3, [(1, 2)], allow_ghosts=True)
         assert ghosted.ghost_vertices() == (3,)
 
+    def test_millions_of_ghosts_refused_with_a_short_message(self):
+        # the check must stay linear in m: a quadratic scan runs for minutes here
+        with pytest.raises(IsolatedVertex) as raised:
+            read_cplx("vertices 3000000\nfacet 1\n")
+        message = str(raised.value)
+        assert len(message) < 1024
+        assert message.startswith("2999999 vertices lie in no facet: 2, 3, 4")
+
     def test_empty_complex(self):
         assert EMPTY.is_empty
         assert EMPTY.dim() == -1

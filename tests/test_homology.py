@@ -5,11 +5,13 @@ import pytest
 from moment_angle import (
     EMPTY,
     Abelian,
+    ChainComplexZ,
     SimplicialComplex,
     boundary_simplex,
     mask_of,
     polygon,
     pseudo_sphere_check,
+    random_complexes,
     reduced_cohomology,
     reduced_cohomology_basis,
     reduced_homology,
@@ -18,6 +20,7 @@ from moment_angle import (
 )
 from moment_angle.errors import NotACocycle, NotPure
 from moment_angle.homology import merge_torsion
+from moment_angle.snf import invariant_factors_sparse
 
 Z = Abelian(1, ())
 
@@ -69,6 +72,44 @@ class TestReducedHomology:
         for d in hom:
             assert coh[d].rank == hom[d].rank
             assert coh[d].torsion == hom.get(d - 1, Abelian(0, ())).torsion
+
+
+class TestSubsetAssembly:
+    """Subset chain complexes read the whole complex's boundary table.
+
+    Two oracles for every full subcomplex K_J: the factors taken from the
+    table against a fresh reduction of the local-index boundary matrices
+    (which carry no shortcut for the augmentation), and the cohomology
+    against the relabelled full subcomplex, torsion included.
+    """
+
+    @staticmethod
+    def check_every_subset(complex_):
+        for subset in range(1 << complex_.m):
+            cc = ChainComplexZ.of_subset(complex_, subset)
+            expected = {
+                d: invariant_factors_sparse(cc.boundary_entries(d))
+                for d in range(-1, cc.top + 2)
+            }
+            assert cc.boundary_factor_table() == expected, subset
+            relabelled = reduced_cohomology(complex_.full_subcomplex(subset))
+            assert cc.cohomology() == relabelled, subset
+
+    def test_p28(self, p28):
+        self.check_every_subset(p28)
+
+    def test_projective_plane_and_its_suspension(self):
+        # Z/2 torsion in H~^2 of RP^2 and in the full subcomplexes of its join
+        self.check_every_subset(RP2)
+        self.check_every_subset(RP2.join(two_points()))
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_polygons(self, m):
+        self.check_every_subset(polygon(m))
+
+    def test_random_complexes(self):
+        for complex_ in random_complexes(20, seed=5):
+            self.check_every_subset(complex_)
 
 
 class TestMergeTorsion:
