@@ -3,9 +3,10 @@
 A model is a multiset of sphere products with every factor of dimension at
 least 3 and all summands of equal total dimension.  Verification against a
 computed ring checks the necessary invariants a ring isomorphism would
-impose: the additive table, unimodularity of the top pairing, and the ranks
-of t-fold product spans degree by degree.  Passing means "consistent with
-the model", not a certified graded-ring isomorphism.
+impose: the additive table, unimodularity of the top pairing, and, degree
+by degree, the rank over Q of the t-th power of the ideal of positive-degree
+classes, folded out of the stored pair products.  Passing means "consistent
+with the model", not a certified graded-ring isomorphism.
 
 The obstruction battery turns three structural facts about such rings into
 executable checks: a proper induced cycle of length five or more rules the

@@ -39,17 +39,24 @@ def _thread_default() -> int:
 
 @dataclass
 class BigradedBetti:
-    """Nonzero groups of the subset decomposition, keyed by (J mask, degree)."""
+    """Nonzero groups of the subset decomposition, keyed by (J mask, degree).
+
+    ``entries`` is kept in (|J|, lex J, degree) order, sorted once here.
+    """
 
     m: int
     dim: int
     entries: dict
 
+    def __post_init__(self):
+        ordered = sorted(self.entries, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
+        self.entries = {key: self.entries[key] for key in ordered}
+
     def group(self, subset: int, d: int) -> Abelian:
         return self.entries.get((subset, d), Abelian(0, ()))
 
     def sorted_keys(self) -> list:
-        return sorted(self.entries, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
+        return list(self.entries)
 
     def total(self) -> dict:
         """Aggregate by p = |J| + d + 1: the moment-angle Betti table."""
@@ -66,8 +73,7 @@ class BigradedBetti:
 
     def to_json_obj(self) -> dict:
         bigraded = []
-        for subset, d in self.sorted_keys():
-            group = self.entries[(subset, d)]
+        for (subset, d), group in self.entries.items():
             bigraded.append(
                 {
                     "J": list(vertices_of(subset)),
@@ -152,12 +158,7 @@ def bigraded_betti(
         for subset, groups in batch:
             for d, group in groups:
                 entries[(subset, d)] = group
-    ordered = sorted(entries, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
-    return BigradedBetti(
-        m=complex_.m,
-        dim=complex_.dim(),
-        entries={key: entries[key] for key in ordered},
-    )
+    return BigradedBetti(m=complex_.m, dim=complex_.dim(), entries=entries)
 
 
 def zk_betti(complex_: SimplicialComplex, **kwargs) -> dict:

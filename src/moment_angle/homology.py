@@ -140,17 +140,11 @@ class ChainComplexZ:
 
     def boundary_entries(self, d: int) -> dict:
         """Sparse boundary matrix of C_d -> C_{d-1} as {row: {col: sign}}."""
-        cols = self.faces.get(d, [])
         rows_index = self.index.get(d - 1, {})
         entries: dict[int, dict[int, int]] = {}
-        for j, face in enumerate(cols):
-            sign = 1
-            for v in iter_vertices(face):
-                sub = face & ~(1 << (v - 1))
-                i = rows_index.get(sub)
-                if i is not None:
-                    entries.setdefault(i, {})[j] = sign
-                sign = -sign
+        for j, face in enumerate(self.faces.get(d, [])):
+            for sub, sign in self.columns[face].items():
+                entries.setdefault(rows_index[sub], {})[j] = sign
         return entries
 
     def boundary_matrix(self, d: int) -> list:

@@ -148,13 +148,6 @@ class TaylorMonomial:
     indices: tuple
     support: int
 
-    @property
-    def exterior_degree(self) -> int:
-        return len(self.indices)
-
-    def bidegree(self) -> tuple:
-        return (-len(self.indices), 2 * self.support.bit_count())
-
 
 def taylor_monomial(indices, missing: tuple) -> TaylorMonomial:
     idx = tuple(sorted(indices))

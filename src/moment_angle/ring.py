@@ -24,7 +24,7 @@ from .complexes import SimplicialComplex
 from .errors import BasisMismatch, DegreeMismatch, NotACocycle, NotASubcomplex, TorsionWarning
 from .hochster import BigradedBetti, bigraded_betti
 from .homology import Abelian, ChainComplexZ, CohomologyBasis, Expression
-from .snf import invariant_factors, is_unimodular_square
+from .snf import identity, is_unimodular_square, smith_normal_form
 
 
 class HochsterClass:
@@ -89,20 +89,11 @@ class HochsterClass:
 
 
 def _check_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
-    up_faces = [
-        f
-        for f in complex_.faces_by_dim().get(cls.degree + 1, [])
-        if is_subset(f, cls.subset)
-    ]
-    for face in up_faces:
-        total = 0
-        sign = 1
-        for v in vertices_of(face):
-            sub = face & ~(1 << (v - 1))
-            coeff = cls.cochain.get(sub)
-            if coeff:
-                total += sign * coeff
-            sign = -sign
+    columns = complex_.boundary_table()
+    for face in complex_.faces_by_dim().get(cls.degree + 1, []):
+        if not is_subset(face, cls.subset):
+            continue
+        total = sum(sign * cls.cochain.get(sub, 0) for sub, sign in columns[face].items())
         if total:
             raise NotACocycle(
                 f"juxtaposition product has coboundary {total} on {vertices_of(face)}"
@@ -343,41 +334,59 @@ def triple_product_rank(presentation: RingPresentation, target_degree: int) -> i
 
 
 def product_span_rank(presentation: RingPresentation, t: int, target_degree: int) -> int:
-    """Rank of the span of products of >= t distinct generators in a degree.
+    """Rank over Q of the span of products of >= t generators in a degree.
 
-    Products expand multilinearly over any basis, so the span over basis
-    generators equals the span over arbitrary classes; the rank is a ring
-    invariant even though individual products are not.
+    That span is the degree part of the t-th power of the ideal A+ of
+    positive-degree classes, so the rank is a ring invariant although single
+    products depend on the basis.  It is folded out of the stored structure
+    constants one (subset, degree) block at a time: level 1 is the identity
+    basis of every block, and level k multiplies each level k - 1 basis
+    vector by every generator whose products with the vector's block are
+    stored.  Products over overlapping supports vanish, so no generator
+    meets itself.  Each block's rows are cut down to a basis over Q.
     """
-    gens = presentation.generators
-    target_block = [g.gid for g in presentation.degree_generators(target_degree)]
-    offset = {gid: i for i, gid in enumerate(target_block)}
-    vectors = []
+    generators = presentation.generators
+    blocks = presentation._blocks
+    by_right = {}  # right factor -> [(left factor, terms)]
+    for (g, h), terms in presentation.products.items():
+        by_right.setdefault(h, []).append((generators[g], terms))
 
-    def extend(start: int, chosen: list, support: int, degree: int):
-        if len(chosen) >= t and degree == target_degree:
-            cls = presentation.product_class(chosen)
-            if not cls.is_zero:
-                row = [0] * len(target_block)
-                for gid, coeff in presentation.express_class(cls):
-                    row[offset[gid]] = coeff
-                if any(row):
-                    vectors.append(row)
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            if g.subset & support:
-                continue
-            new_degree = degree + g.total_degree
-            if new_degree > target_degree:
-                continue
-            chosen.append(g.gid)
-            extend(idx + 1, chosen, support | g.subset, new_degree)
-            chosen.pop()
+    def degree(key: tuple) -> int:
+        return key[0].bit_count() + key[1] + 1
 
-    extend(0, [], 0, 0)
-    if not vectors:
-        return 0
-    return len(invariant_factors(vectors))
+    level = {key: identity(len(ids)) for key, ids in blocks.items() if degree(key) <= target_degree}
+    for _ in range(t - 1):
+        rows = {}
+        for (s, d), basis in level.items():
+            room = target_degree - degree((s, d))
+            start = blocks[(s, d)].start
+            for vec in basis:
+                sums = {}  # left factor -> its product with vec, {gid: coefficient}
+                for i, c in enumerate(vec):
+                    if not c:
+                        continue
+                    for g, terms in by_right.get(start + i, ()):
+                        if g.total_degree <= room:
+                            acc = sums.setdefault(g.gid, {})
+                            for gid, coeff in terms:
+                                acc[gid] = acc.get(gid, 0) + c * coeff
+                for left, acc in sums.items():
+                    g = generators[left]
+                    key = (g.subset | s, g.degree + d + 1)
+                    row = [acc.get(gid, 0) for gid in blocks[key]]
+                    if any(row):
+                        rows.setdefault(key, []).append(row)
+        level = {}
+        for key, block_rows in rows.items():
+            # a basis has at most ``width`` rows, so feeding the rows in
+            # batches of that size keeps each tracked transform small
+            width = len(blocks[key])
+            basis = []
+            for i in range(0, len(block_rows), width):
+                snf = smith_normal_form(basis + block_rows[i : i + width])
+                basis = snf.v_inv[: snf.rank]
+            level[key] = basis
+    return sum(len(basis) for key, basis in level.items() if degree(key) == target_degree)
 
 
 @dataclass

@@ -8,6 +8,7 @@ from test_homology import RP2
 
 from moment_angle import (
     HochsterClass,
+    SimplicialComplex,
     construct_p28_8,
     cross_polytope,
     functoriality_check,
@@ -20,10 +21,14 @@ from moment_angle import (
     star_product,
     triple_product_rank,
     truncated_simplex,
+    two_points,
+    verify_csp_model,
     vertices_of,
 )
 from moment_angle.errors import DegreeMismatch
+from moment_angle.reproduction import mcgavran_model
 from moment_angle.ring import ring_json_obj
+from moment_angle.snf import invariant_factors
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +149,88 @@ class TestRanks:
         assert product_span_rank(p28_ring, 2, 7) == 0
         assert product_span_rank(p28_ring, 2, 12) == 1
         assert product_span_rank(p28_ring, 4, 12) == 0
+
+
+def span_ranks_by_tuples(presentation, max_t):
+    """Oracle: multiply out every set of disjoint generators as cochains.
+
+    Each set, taken in generator order, is folded with ``star_product`` and
+    the product is expressed in the basis; ``ranks[t][p]`` is the rank of the
+    degree-p products of at least t generators, for t = 1 .. max_t.  A
+    partial product that is already the zero cochain stays zero, so its
+    extensions are skipped.
+    """
+    complex_ = presentation.complex
+    generators = presentation.generators
+    rows = []  # (number of factors, degree, {gid: coefficient})
+
+    def extend(start, count, support, cls):
+        if count:
+            terms = presentation.express_class(cls)
+            if terms:
+                rows.append((count, cls.total_degree, dict(terms)))
+        for g in generators[start:]:
+            if not g.subset & support:
+                product = star_product(cls, g.cls, complex_)
+                if not product.is_zero:
+                    extend(g.gid + 1, count + 1, support | g.subset, product)
+
+    extend(0, 0, 0, HochsterClass(0, -1, {0: 1}))
+    degrees = {g.total_degree for g in generators}
+    ranks = {}
+    for t in range(1, max_t + 1):
+        ranks[t] = {}
+        for p in degrees:
+            block = [g.gid for g in presentation.degree_generators(p)]
+            vectors = [[row.get(gid, 0) for gid in block] for n, q, row in rows if n >= t and q == p]
+            ranks[t][p] = len(invariant_factors(vectors)) if vectors else 0
+    return ranks
+
+
+SPAN_INPUTS = [
+    pytest.param(construct_p28_8(), id="p28"),
+    pytest.param(truncated_simplex(2, 5), id="truncated_simplex(2,5)"),
+    pytest.param(truncated_simplex(2, 6), id="truncated_simplex(2,6)"),
+    pytest.param(truncated_simplex(3, 3), id="truncated_simplex(3,3)"),
+    pytest.param(cross_polytope(3), id="cross_polytope3"),
+    pytest.param(polygon(7), id="polygon7"),
+    pytest.param(polygon(8), id="polygon8"),
+    pytest.param(RP2, id="rp2"),
+    pytest.param(RP2.join(two_points()), id="rp2*s0"),
+    # three of the hexagon's vertices span three points, so the block over
+    # them and the S^0 holds a rank-2 span of products
+    pytest.param(polygon(6).join(two_points()), id="polygon6*s0"),
+    # a graph whose degree-10 block needs rows from more than one batch of
+    # the row reduction in product_span_rank
+    pytest.param(
+        SimplicialComplex(
+            8,
+            [(1, 3), (1, 4), (1, 7), (2, 3), (2, 5), (2, 6),
+             (2, 7), (3, 6), (4, 5), (4, 7), (4, 8), (5, 6)],
+        ),
+        id="graph8",
+    ),
+    *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(15, seed=3))),
+]
+
+
+class TestSpanRankOracle:
+    """The block fold over structure constants matches multiplying cochains."""
+
+    @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+    @pytest.mark.parametrize("complex_", SPAN_INPUTS)
+    def test_fold_matches_tuple_enumeration(self, complex_):
+        presentation = ring_presentation(complex_)
+        expected = span_ranks_by_tuples(presentation, 4)
+        got = {
+            t: {p: product_span_rank(presentation, t, p) for p in ranks}
+            for t, ranks in expected.items()
+        }
+        assert got == expected
+
+    def test_ten_vertex_truncated_simplex_model(self):
+        result = verify_csp_model(truncated_simplex(2, 7), mcgavran_model(2, 7))
+        assert result.consistent, result.mismatches
 
 
 class TestPairing:
