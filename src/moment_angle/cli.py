@@ -28,9 +28,9 @@ from .complexes import (
     read_cplx,
     write_cplx,
 )
-from .errors import CapExceeded, MomentAngleError, ParseError
+from .errors import MomentAngleError, ParseError, VertexCapExceeded
 from .homology import reduced_homology
-from .hochster import DEFAULT_VERTEX_CAP, _thread_default, bigraded_betti
+from .hochster import DEFAULT_VERTEX_CAP, _thread_default, bigraded_betti, check_vertex_cap
 from .reproduction import checklist_json_obj, run_checklist
 from .resolutions import (
     MethodDisagreement,
@@ -103,20 +103,12 @@ def _totals_by_method(complex_, method: str, threads: int, cap: int):
     if method == "hochster":
         return bigraded_betti(complex_, threads=threads, max_vertices=cap).total()
     if method == "koszul":
-        _check_cap(complex_, cap)
+        check_vertex_cap(complex_, cap)
         return koszul_bigraded(complex_).total()
     if method == "taylor":
-        _check_cap(complex_, cap)
+        check_vertex_cap(complex_, cap)
         return taylor_bigraded(complex_).bidegrees().total()
     raise AssertionError(method)
-
-
-def _check_cap(complex_, cap: int) -> None:
-    if complex_.m > cap:
-        raise CapExceeded(
-            f"vertex count {complex_.m} exceeds the cap {cap}; "
-            "raise the cap explicitly to proceed"
-        )
 
 
 def cmd_zk(args) -> int:
@@ -364,7 +356,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return USAGE_ERROR
-    except CapExceeded as exc:
+    except VertexCapExceeded as exc:
         sys.stderr.write(f"{exc} (use --max-vertices to override)\n")
         return USAGE_ERROR
     except FileNotFoundError as exc:

@@ -83,7 +83,11 @@ class TorsionPresent(MomentAngleError):
 
 
 class CapExceeded(MomentAngleError):
-    """The vertex count exceeds the subset-enumeration cap."""
+    """An input is refused up front: the work it needs exceeds a cap."""
+
+
+class VertexCapExceeded(CapExceeded):
+    """The vertex count exceeds the subset-enumeration cap ``max_vertices``."""
 
 
 class ParseError(MomentAngleError):

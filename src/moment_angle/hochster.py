@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
-from .errors import CapExceeded, NotASphereCandidate
-from .homology import (
-    Abelian,
-    ChainComplexZ,
-    pseudo_sphere_check,
-    sum_groups,
-)
+from .errors import NotASphereCandidate, VertexCapExceeded
+from .homology import ZERO_GROUP, Abelian, ChainComplexZ, pseudo_sphere_check, sum_groups
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -53,7 +48,7 @@ class BigradedBetti:
         self.entries = {key: self.entries[key] for key in ordered}
 
     def group(self, subset: int, d: int) -> Abelian:
-        return self.entries.get((subset, d), Abelian(0, ()))
+        return self.entries.get((subset, d), ZERO_GROUP)
 
     def sorted_keys(self) -> list:
         return list(self.entries)
@@ -101,12 +96,8 @@ def _covered_by_missing(subset: int, missing: tuple) -> bool:
 
 
 def _subset_cohomology(complex_: SimplicialComplex, subset: int) -> list:
-    cc = ChainComplexZ.of_subset(complex_, subset)
-    out = []
-    for d, group in cc.cohomology().items():
-        if not group.is_zero:
-            out.append((d, group))
-    return out
+    groups = ChainComplexZ.of_subset(complex_, subset).cohomology()
+    return [(d, group) for d, group in groups.items() if not group.is_zero]
 
 
 def _batch_worker(args):
@@ -122,6 +113,15 @@ def _batch_worker(args):
     return results
 
 
+def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
+    """Refuse, before any work, a complex with more than ``max_vertices`` vertices."""
+    if complex_.m > max_vertices:
+        raise VertexCapExceeded(
+            f"vertex count {complex_.m} exceeds the cap {max_vertices}; "
+            "raise the cap explicitly to spend 2^m time"
+        )
+
+
 def bigraded_betti(
     complex_: SimplicialComplex,
     *,
@@ -135,11 +135,7 @@ def bigraded_betti(
     ground sets instead of silently taking days; raise it explicitly if you
     mean it.  The result does not depend on ``threads``.
     """
-    if complex_.m > max_vertices:
-        raise CapExceeded(
-            f"vertex count {complex_.m} exceeds the cap {max_vertices}; "
-            "raise the cap explicitly to spend 2^m time"
-        )
+    check_vertex_cap(complex_, max_vertices)
     if threads is None:
         threads = _thread_default()
     subsets = range(1 << complex_.m)  # slices of a range pickle as three ints
@@ -237,7 +233,7 @@ def poincare_check(
     total = table.total()
 
     def group(p: int) -> Abelian:
-        return total.get(p, Abelian(0, ()))
+        return total.get(p, ZERO_GROUP)
 
     rank_sym = True
     torsion_sym = True

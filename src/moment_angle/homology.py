@@ -1,6 +1,8 @@
-"""Reduced integral (co)homology of simplicial complexes.
+"""Integral (co)homology of based free chain complexes, simplicial ones first.
 
-Chain complexes are reduced: degree -1 is the empty face, and the
+:class:`ChainComplexZ` holds any based free complex; it serves the subset
+complexes here and the Koszul and Taylor complexes of :mod:`.resolutions`.
+Simplicial chain complexes are reduced: degree -1 is the empty face, and the
 augmentation C_0 -> C_-1 is part of the boundary data.  Faces are oriented
 by increasing vertex labels and boundary signs come from position parity,
 which pins down every sign used elsewhere in the library.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 from .bitsets import iter_vertices
@@ -86,39 +89,29 @@ def sum_groups(pairs) -> dict:
     return {key: Abelian(ranks[key], merge_torsion(torsion[key])) for key in sorted(ranks)}
 
 
-def homology_groups(sizes: dict, factors: dict) -> dict:
-    """Homology of a complex of free abelian groups, one group per key of ``sizes``.
-
-    ``sizes[k]`` is the rank of C_k and ``factors[k]`` the invariant factors
-    of the differential C_k -> C_{k-1}.  The free rank at k is the size minus
-    the ranks of the maps out of and into C_k; the torsion is the non-unit
-    factors of the map into it.  Zero groups are kept.
-    """
-    out = {}
-    for k, size in sizes.items():
-        into = factors.get(k + 1, ())
-        free = size - len(factors.get(k, ())) - len(into)
-        out[k] = Abelian(free, tuple([t for t in into if t > 1]))
-    return out
-
-
 class ChainComplexZ:
-    """Reduced chain complex of an explicit face list.
+    """A based free chain complex over the integers, with its homology.
 
-    ``faces_by_dim`` maps each degree d >= -1 to the ordered list of d-face
-    masks, and ``columns`` maps each face to its boundary column, as in
-    :meth:`SimplicialComplex.boundary_table`.  The face lists may come from
-    a complex or from a full subcomplex kept in parent labels; only the
-    relative order of vertex labels matters.
+    ``faces_by_dim`` maps each degree to the ordered list of its basis
+    elements, and ``columns`` maps each basis element to its boundary
+    column ``{element one degree lower: coefficient}``.  Basis elements are
+    integer keys, distinct across degrees: face masks for a simplicial
+    complex (degree -1 is the empty face, as in
+    :meth:`SimplicialComplex.boundary_table`, so homology is reduced),
+    encoded monomials for the Koszul pieces and Taylor strata of
+    :mod:`.resolutions`.  A subcomplex may reuse its parent's table.
 
-    Invariant factors come from the complex's cached boundary table, keyed
-    by face masks, so building the complex of one subset re-derives nothing.
+    Invariant factors are read straight from ``columns``.  Where the target
+    degree has a single basis element the only factor is the gcd of the
+    entries, and the scan stops at the first +-1, so the augmentation of a
+    simplicial complex costs one column.
     ``boundary_entries`` is the local-index form, used by cocycle bases.
     """
 
     def __init__(self, faces_by_dim: dict, columns: dict):
         self.faces = {d: fs for d, fs in faces_by_dim.items() if fs}
         self.columns = columns
+        self.bottom = min(self.faces) if self.faces else 0
         self.top = max(self.faces) if self.faces else -1
         self._factors = None
 
@@ -166,37 +159,52 @@ class ChainComplexZ:
                 mat[j][i] = v
         return mat
 
-    def boundary_factor_table(self) -> dict:
-        """Invariant factors of every boundary matrix, degree -1 .. top + 1.
+    def _factors_into(self, d: int) -> list:
+        """Invariant factors of the boundary map C_d -> C_{d-1}."""
+        sources = self.faces.get(d, ())
+        targets = len(self.faces.get(d - 1, ()))
+        if not sources or not targets:
+            return []
+        columns = self.columns
+        if targets > 1:
+            # rows are the sources' columns: the transpose of boundary_entries(d)
+            return invariant_factors_sparse({f: columns[f] for f in sources})
+        g = 0
+        for f in sources:
+            for value in columns[f].values():
+                g = gcd(g, value)
+                if g == 1:
+                    return [1]
+        return [g] if g else []
 
-        The complex is reduced, so the augmentation C_0 -> C_-1 has the
-        single factor 1 whenever there are vertices, and nothing maps out
-        of C_-1.  For d >= 1 the rows are the d-faces' boundary columns
-        read from ``columns``: the transpose of ``boundary_entries(d)``,
-        which has the same invariant factors.
-        """
+    def boundary_factor_table(self) -> dict:
+        """Invariant factors of every boundary map, degree bottom .. top + 1."""
         if self._factors is None:
-            columns = self.columns
-            factors = {-1: [], 0: [1] if self.n_faces(0) else []}
-            for d in range(1, self.top + 2):
-                factors[d] = invariant_factors_sparse(
-                    {f: columns[f] for f in self.faces.get(d, ())}
-                )
-            self._factors = factors
+            self._factors = {d: self._factors_into(d) for d in range(self.bottom, self.top + 2)}
         return self._factors
 
+    def _groups(self, torsion_shift: int) -> dict:
+        """One group per degree, bottom .. top, zero groups included.
+
+        The free rank at d is the size of C_d minus the ranks of the maps
+        out of and into it; the torsion is the non-unit factors of the map
+        into C_{d - 1 + torsion_shift}.
+        """
+        factors = self.boundary_factor_table()
+        faces = self.faces
+        out = {}
+        for d in range(self.bottom, self.top + 1):
+            free = len(faces.get(d, ())) - len(factors[d]) - len(factors[d + 1])
+            out[d] = Abelian(free, tuple([t for t in factors[d + torsion_shift] if t > 1]))
+        return out
+
     def homology(self) -> dict:
-        """Reduced homology groups, degrees -1 .. top, zero groups included."""
-        sizes = {d: self.n_faces(d) for d in range(-1, self.top + 1)}
-        return homology_groups(sizes, self.boundary_factor_table())
+        """Homology groups; torsion comes from the map into the degree."""
+        return self._groups(1)
 
     def cohomology(self) -> dict:
-        """Reduced cohomology groups; torsion shifts one degree up."""
-        out, below = {}, ()
-        for d, g in self.homology().items():
-            out[d] = Abelian(g.rank, below)
-            below = g.torsion
-        return out
+        """Cohomology groups; torsion comes from the map one degree lower."""
+        return self._groups(0)
 
 
 def reduced_homology(complex_: SimplicialComplex) -> dict:

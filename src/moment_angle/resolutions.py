@@ -2,29 +2,30 @@
 
 Koszul route: the quotient algebra of the exterior algebra on u-variables
 tensored with the face ring by the relations v_i^2 = u_i v_i = 0.  Its basis
-is the set of pairs (sigma, tau) of disjoint vertex sets with tau a face;
-the differential replaces one exterior variable by its polynomial shadow and
-keeps only face-monomial targets.
+is the set of pairs (sigma, tau) of disjoint vertex sets with tau a face,
+encoded as the integer ``sigma | tau << m``; the differential replaces one
+exterior variable by its polynomial shadow and keeps only face-monomial
+targets.
 
 Taylor route: the exterior-algebra-shaped complex on the set of missing
-faces.  The differential drops one factor and keeps the term only when the
-union of the rest is unchanged, so it preserves the support and homology can
-be computed one support stratum at a time.
+faces, a monomial encoded as the bitmask of its factors' positions in the
+missing face list.  The differential drops one factor and keeps the term
+only when the union of the rest is unchanged, so it preserves the support
+and homology can be computed one support stratum at a time.
 
+Each Koszul piece (fixed j) and Taylor stratum (fixed support) becomes a
+:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element.
 Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
 
 from .bitsets import iter_vertices, lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
-from .homology import Abelian, homology_groups, sum_groups
-from .snf import invariant_factors_sparse
+from .homology import ZERO_GROUP, Abelian, ChainComplexZ, sum_groups
 
 TAYLOR_GENERATOR_CAP = 20
 
@@ -36,35 +37,36 @@ class TorTable:
     entries: dict
 
     def group(self, i: int, j: int) -> Abelian:
-        return self.entries.get((i, j), Abelian(0, ()))
+        return self.entries.get((i, j), ZERO_GROUP)
 
     def total(self) -> dict:
         """Aggregate to single degrees p = 2j - i."""
         return sum_groups((2 * j - i, group) for (i, j), group in self.entries.items())
 
 
-def _differential_matrix(source: dict, target: dict, differential, method: str) -> dict:
-    """Sparse ``{row: {col: sign}}`` matrix of d from ``source`` to ``target``.
+def _checked_columns(basis, differential, method: str) -> dict:
+    """Boundary column ``differential(key)`` of every key in ``basis``.
 
-    Both bases map a basis element to its index; ``differential(key)`` lists
-    ``(sign, key)`` terms.  d o d = 0 is checked on every source element,
-    and a failure raises :class:`NotAChainComplex`; each target's own terms
-    are computed once for that check.
+    Every key a column names must itself be in ``basis``.  d o d = 0 is
+    checked on every basis element, and a failure raises
+    :class:`NotAChainComplex`.
     """
-    entries: dict[int, dict[int, int]] = {}
-    below: dict = {}
-    for key, col in source.items():
+    columns = {key: differential(key) for key in basis}
+    for key, column in columns.items():
         square: dict = {}
-        for sign, key2 in differential(key):
-            entries.setdefault(target[key2], {})[col] = sign
-            terms = below.get(key2)
-            if terms is None:
-                terms = below[key2] = differential(key2)
-            for sign2, key3 in terms:
-                square[key3] = square.get(key3, 0) + sign * sign2
+        for mid, sign in column.items():
+            for low, sign2 in columns[mid].items():
+                square[low] = square.get(low, 0) + sign * sign2
         if any(square.values()):
             raise NotAChainComplex(f"{method} d*d != 0 on {key}")
-    return entries
+    return columns
+
+
+def _nonzero_homology(basis_by_degree: dict, differential, method: str) -> dict:
+    """Nonzero homology groups of the complex that ``differential`` spans on the basis."""
+    keys = [key for keys in basis_by_degree.values() for key in keys]
+    cc = ChainComplexZ(basis_by_degree, _checked_columns(keys, differential, method))
+    return {d: group for d, group in cc.homology().items() if not group.is_zero}
 
 
 # -- Koszul quotient algebra ---------------------------------------------------
@@ -82,56 +84,43 @@ def _koszul_sign(v: int, sigma: int) -> int:
 
 
 def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
-    """Cohomology of the Koszul quotient algebra, one bidegree at a time.
+    """Cohomology of the Koszul quotient algebra, one piece of fixed j at a time.
 
     d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
     the term dropped whenever tau + v is not a face.  d preserves j = |sigma|
-    + |tau| and lowers i = |sigma| by one; d o d = 0 is checked while the
-    matrices are assembled.
+    + |tau| and lowers i = |sigma| by one.  The monomial u_sigma v_tau is the
+    integer ``sigma | tau << m``, and d o d = 0 is checked on every monomial
+    before any reduction.
     """
     faces = complex_.face_set()
     m = complex_.m
     full = (1 << m) - 1
-    # index monomials per bidegree
-    index: dict[tuple, dict] = {}
+    pieces: dict[int, dict] = {}  # j -> i -> monomials
     for tau in faces:
         rest = full & ~tau
+        size = tau.bit_count()
         sub = rest
         while True:
-            sigma = sub
-            key = (sigma.bit_count(), sigma.bit_count() + tau.bit_count())
-            slot = index.setdefault(key, {})
-            slot[(sigma, tau)] = len(slot)
+            i = sub.bit_count()
+            pieces.setdefault(i + size, {}).setdefault(i, []).append(sub | tau << m)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
 
-    def differential(mono: tuple) -> list:
-        sigma, tau = mono
-        terms = []
+    def differential(mono: int) -> dict:
+        sigma, tau = mono & full, mono >> m
+        column = {}
         for v in iter_vertices(sigma):
             bit = 1 << (v - 1)
-            new_tau = tau | bit
-            if new_tau in faces:
-                terms.append((_koszul_sign(v, sigma), (sigma & ~bit, new_tau)))
-        return terms
+            if (tau | bit) in faces:
+                column[(sigma & ~bit) | (tau | bit) << m] = _koszul_sign(v, sigma)
+        return column
 
-    # homology per fixed second grading j
-    entries_out: dict[tuple, Abelian] = {}
-    for j in sorted({key[1] for key in index}):
-        sizes = {i: len(monos) for (i, j2), monos in index.items() if j2 == j}
-        factors = {
-            i: invariant_factors_sparse(
-                _differential_matrix(index[(i, j)], index.get((i - 1, j), {}), differential, "koszul")
-            )
-            for i in sizes
-            if i
-        }
-        for i, group in homology_groups(sizes, factors).items():
-            if not group.is_zero:
-                entries_out[(i, j)] = group
-    ordered = sorted(entries_out)
-    return TorTable(entries={key: entries_out[key] for key in ordered})
+    entries = {}
+    for j, basis in pieces.items():
+        for i, group in _nonzero_homology(basis, differential, "koszul").items():
+            entries[(i, j)] = group
+    return TorTable(entries={key: entries[key] for key in sorted(entries)})
 
 
 # -- Taylor complex on the missing faces ---------------------------------------
@@ -185,7 +174,7 @@ class TaylorTable:
     strata: dict
 
     def group(self, r: int, support: int) -> Abelian:
-        return self.strata.get((r, support), Abelian(0, ()))
+        return self.strata.get((r, support), ZERO_GROUP)
 
     def bidegrees(self) -> TorTable:
         return TorTable(
@@ -198,6 +187,7 @@ class TaylorTable:
 def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
     """Homology of the Taylor complex, stratified by support.
 
+    A monomial is the bitmask of its factors' positions in ``missing``.
     d(u) drops the i-th factor with sign (-1)^i and keeps the term only when
     the support is unchanged, so each (r, S) stratum is a finite complex of
     its own; d o d = 0 is checked stratum by stratum.
@@ -208,48 +198,33 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
             f"{len(missing)} missing faces means 2^{len(missing)} Taylor monomials; "
             "refusing"
         )
-    # group monomials by (r, support)
-    strata_basis: dict[tuple, dict] = {}
-    for r in range(len(missing) + 1):
-        for combo in combinations(range(len(missing)), r):
-            mono = taylor_monomial(combo, missing)
-            slot = strata_basis.setdefault((r, mono.support), {})
-            slot[mono.indices] = len(slot)
+    supports = [0] * (1 << len(missing))
+    strata_basis: dict[int, dict] = {}  # support -> r -> monomials
+    for mono in range(1 << len(missing)):
+        if mono:
+            low = mono & -mono
+            supports[mono] = supports[mono ^ low] | missing[low.bit_length() - 1]
+        strata_basis.setdefault(supports[mono], {}).setdefault(mono.bit_count(), []).append(mono)
 
-    def differential(indices: tuple, support: int) -> list:
-        terms = []
+    def differential(mono: int) -> dict:
+        support = supports[mono]
+        column = {}
         sign = -1  # (-1)^i with i starting at 1
-        for pos in range(len(indices)):
-            rest = indices[:pos] + indices[pos + 1 :]
-            rest_support = 0
-            for k in rest:
-                rest_support |= missing[k]
-            if rest_support == support:
-                terms.append((sign, rest))
+        bits = mono
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if supports[mono ^ low] == support:
+                column[mono ^ low] = sign
             sign = -sign
-        return terms
+        return column
 
-    strata_out: dict[tuple, Abelian] = {}
-    supports = sorted({s for _, s in strata_basis}, key=lex_key)
-    for support in supports:
-        sizes = {r: len(strata_basis[(r, support)]) for r, s in strata_basis if s == support}
-        factors = {
-            r: invariant_factors_sparse(
-                _differential_matrix(
-                    strata_basis[(r, support)],
-                    strata_basis.get((r - 1, support), {}),
-                    partial(differential, support=support),
-                    "taylor",
-                )
-            )
-            for r in sizes
-            if r
-        }
-        for r, group in homology_groups(sizes, factors).items():
-            if not group.is_zero:
-                strata_out[(r, support)] = group
-    ordered = sorted(strata_out, key=lambda key: (key[0], lex_key(key[1])))
-    return TaylorTable(missing=missing, strata={key: strata_out[key] for key in ordered})
+    strata = {}
+    for support, basis in strata_basis.items():
+        for r, group in _nonzero_homology(basis, differential, "taylor").items():
+            strata[(r, support)] = group
+    ordered = sorted(strata, key=lambda key: (key[0], lex_key(key[1])))
+    return TaylorTable(missing=missing, strata={key: strata[key] for key in ordered})
 
 
 # -- three-method agreement -----------------------------------------------------
@@ -284,9 +259,9 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
 
     keys = set(hochster_table) | set(koszul_table) | set(taylor_table)
     for key in sorted(keys):
-        h = hochster_table.get(key, Abelian(0, ()))
-        k = koszul_table.get(key, Abelian(0, ()))
-        t = taylor_table.get(key, Abelian(0, ()))
+        h = hochster_table.get(key, ZERO_GROUP)
+        k = koszul_table.get(key, ZERO_GROUP)
+        t = taylor_table.get(key, ZERO_GROUP)
         if not (h == k == t):
             raise MethodDisagreement(
                 key, f"subset={h.describe()} koszul={k.describe()} taylor={t.describe()}"
@@ -310,5 +285,5 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
             raise MethodDisagreement(
                 (r, vertices_of(subset)), f"subset has {group.describe()}, taylor empty"
             )
-    agreed = {key: hochster_table.get(key, Abelian(0, ())) for key in sorted(keys)}
+    agreed = {key: hochster_table.get(key, ZERO_GROUP) for key in sorted(keys)}
     return CrossCheckReport(ok=True, bidegrees=agreed, strata_checked=strata_checked)

@@ -21,10 +21,10 @@ from moment_angle.ring import _check_cocycle
 def test_broken_differential_is_refused():
     # d(a) = b, d(b) = c, so d o d (a) = c
     def differential(key):
-        return {"a": [(1, "b")], "b": [(1, "c")]}.get(key, [])
+        return {"a": {"b": 1}, "b": {"c": 1}}.get(key, {})
 
     with pytest.raises(NotAChainComplex):
-        resolutions._differential_matrix({"a": 0}, {"b": 0}, differential, "test")
+        resolutions._checked_columns(["a", "b", "c"], differential, "test")
 
 
 def test_koszul_with_unsigned_differential_is_refused(monkeypatch):

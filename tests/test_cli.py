@@ -112,6 +112,16 @@ class TestZk:
         assert "--max-vertices" in err
 
 
+    def test_taylor_refusal_names_no_flag(self, tmp_path, capsys):
+        # 27 missing faces: the Taylor cap refuses, and --max-vertices cannot lift it
+        nonagon = tmp_path / "p9.cplx"
+        run_cli(["construct", "polygon", "9", "--out", str(nonagon)], capsys)
+        for extra in ([], ["--max-vertices", "99"]):
+            code, _, err = run_cli(["crosscheck", str(nonagon), *extra], capsys)
+            assert code == 2
+            assert "Taylor" in err and "--max-vertices" not in err
+
+
 class TestReports:
     def test_betti(self, p28_file, capsys):
         code, out, _ = run_cli(["betti", p28_file], capsys)

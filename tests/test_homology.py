@@ -74,6 +74,24 @@ class TestReducedHomology:
             assert coh[d].torsion == hom.get(d - 1, Abelian(0, ())).torsion
 
 
+class TestBasedFreeComplex:
+    """A complex that is not simplicial: degrees 0 and 1, d(b) = 2a, d(c) = 4a."""
+
+    @staticmethod
+    def complex_(b_to_a, c_to_a):
+        return ChainComplexZ({0: [1], 1: [2, 4]}, {1: {}, 2: {1: b_to_a}, 4: {1: c_to_a}})
+
+    def test_single_target_factor_is_the_gcd(self):
+        assert self.complex_(2, 4).boundary_factor_table() == {0: [], 1: [2], 2: []}
+        assert self.complex_(6, -9).boundary_factor_table()[1] == [3]
+        assert self.complex_(0, 0).boundary_factor_table()[1] == []
+
+    def test_torsion_of_cohomology_sits_one_degree_up(self):
+        cc = self.complex_(2, 4)
+        assert cc.homology() == {0: Abelian(0, (2,)), 1: Z}
+        assert cc.cohomology() == {0: Abelian(0, ()), 1: Abelian(1, (2,))}
+
+
 class TestSubsetAssembly:
     """Subset chain complexes read the whole complex's boundary table.
 
