@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bitsets import lex_key, vertices_of
+from .bitsets import vertices_of
 from .complexes import SimplicialComplex
 from .errors import NotASphereCandidate, VertexCapExceeded
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, pseudo_sphere_check, sum_groups
@@ -37,6 +37,9 @@ class BigradedBetti:
     """Nonzero groups of the subset decomposition, keyed by (J mask, degree).
 
     ``entries`` is kept in (|J|, lex J, degree) order, sorted once here.
+    Among subsets of one size, lex order is descending order of the mask
+    read with its bits reversed (vertex 1 the highest of m bits), so the
+    sort key needs no vertex tuple.
     """
 
     m: int
@@ -44,8 +47,13 @@ class BigradedBetti:
     entries: dict
 
     def __post_init__(self):
-        ordered = sorted(self.entries, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
-        self.entries = {key: self.entries[key] for key in ordered}
+        m = self.m
+
+        def key(entry):
+            subset, d = entry
+            return (subset.bit_count(), -int(bin(subset)[:1:-1].ljust(m, "0"), 2), d)
+
+        self.entries = {k: self.entries[k] for k in sorted(self.entries, key=key)}
 
     def group(self, subset: int, d: int) -> Abelian:
         return self.entries.get((subset, d), ZERO_GROUP)

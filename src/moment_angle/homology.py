@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import NamedTuple
 
 from .bitsets import iter_vertices
@@ -101,12 +100,14 @@ class ChainComplexZ:
     encoded monomials for the Koszul pieces and Taylor strata of
     :mod:`.resolutions`.  A subcomplex may reuse its parent's table.
 
-    Invariant factors are read straight from ``columns``.  Where the target
-    degree has a single basis element the only factor is the gcd of the
-    entries, and the scan stops at the first +-1, so the augmentation of a
-    simplicial complex costs one column.
+    Invariant factors are read straight from ``columns``, by one
+    coreduction pass across all degrees (:meth:`boundary_factor_table`).
+    ``simplicial`` is set by :meth:`of_complex` and :meth:`of_subset` only:
+    two steps of the pass rely on every edge column being v - u.
     ``boundary_entries`` is the local-index form, used by cocycle bases.
     """
+
+    simplicial = False
 
     def __init__(self, faces_by_dim: dict, columns: dict):
         self.faces = {d: fs for d, fs in faces_by_dim.items() if fs}
@@ -116,12 +117,18 @@ class ChainComplexZ:
         self._factors = None
 
     @classmethod
+    def _simplicial(cls, faces_by_dim: dict, table: dict) -> "ChainComplexZ":
+        cc = cls(faces_by_dim, table)
+        cc.simplicial = True
+        return cc
+
+    @classmethod
     def of_complex(cls, complex_: SimplicialComplex) -> "ChainComplexZ":
-        return cls(complex_.faces_by_dim(), complex_.boundary_table())
+        return cls._simplicial(complex_.faces_by_dim(), complex_.boundary_table())
 
     @classmethod
     def of_subset(cls, complex_: SimplicialComplex, subset: int) -> "ChainComplexZ":
-        return cls(complex_.subset_faces_by_dim(subset), complex_.boundary_table())
+        return cls._simplicial(complex_.subset_faces_by_dim(subset), complex_.boundary_table())
 
     @cached_property
     def index(self) -> dict:
@@ -159,43 +166,136 @@ class ChainComplexZ:
                 mat[j][i] = v
         return mat
 
-    def _factors_into(self, d: int) -> list:
-        """Invariant factors of the boundary map C_d -> C_{d-1}."""
-        sources = self.faces.get(d, ())
-        targets = len(self.faces.get(d - 1, ()))
-        if not sources or not targets:
-            return []
-        columns = self.columns
-        if targets > 1:
-            # rows are the sources' columns: the transpose of boundary_entries(d)
-            return invariant_factors_sparse({f: columns[f] for f in sources})
-        g = 0
-        for f in sources:
-            for value in columns[f].values():
-                g = gcd(g, value)
-                if g == 1:
-                    return [1]
-        return [g] if g else []
-
     def boundary_factor_table(self) -> dict:
         """Invariant factors of every boundary map, degree bottom .. top + 1."""
         if self._factors is None:
-            self._factors = {d: self._factors_into(d) for d in range(self.bottom, self.top + 2)}
+            self._factors = self._coreduced_factors()
         return self._factors
+
+    def _coreduced_factors(self) -> dict:
+        """One coreduction pass over all degrees, then elimination of the rest.
+
+        A basis element whose boundary, among the elements still present, is
+        a single element with coefficient +-1 is removed together with that
+        element (Mrozek and Batko, *Coreduction homology algorithm*, 2009).
+        The pair is a unimodular change of basis that leaves the other
+        columns as they were, restricted to what is left, and it adds one
+        unit factor to the map out of its upper element's degree.  The
+        leftover elements keep their restricted columns and are reduced
+        degree by degree with :func:`invariant_factors_sparse`.
+        """
+        faces, columns = self.faces, self.columns
+        table = {d: [] for d in range(self.bottom, self.top + 2)}
+        if self.simplicial and self.top <= 1:
+            return self._graph_factors(table)
+        # alive: element -> how many elements still present its column names;
+        # columns name only basis elements, since a subcomplex is closed
+        # under the boundary
+        alive = {}
+        cofaces = {}
+        for fs in faces.values():
+            for f in fs:
+                alive[f] = len(columns[f])
+                cofaces[f] = []
+        for f in alive:
+            for g in columns[f]:
+                cofaces[g].append(f)
+        queue = [f for f, n in alive.items() if n == 1]
+        # Simplicial only: once the queue is empty, every vertex left has an
+        # empty boundary, and every edge left has both its vertices (it
+        # would have been paired otherwise), so the rows of each component
+        # of the remaining graph sum to zero.  Dropping one vertex per
+        # component then keeps the factors of the map out of degree 1 and
+        # leaves that vertex as a free generator of H~_0.
+        vertices = iter(faces.get(0, ()) if self.simplicial else ())
+        critical = 0
+        while True:
+            if queue:
+                f = queue.pop()
+                if alive.get(f) != 1:
+                    continue
+                for g, c in columns[f].items():
+                    if g in alive:
+                        break
+                if c != 1 and c != -1:
+                    continue
+                removed = (f, g)
+            else:
+                v = next((v for v in vertices if alive.get(v) == 0), None)
+                if v is None:
+                    break
+                critical += 1
+                removed = (v,)
+            for x in removed:
+                del alive[x]
+                for h in cofaces[x]:
+                    n = alive.get(h)
+                    if n:
+                        alive[h] = n - 1
+                        if n == 2:
+                            queue.append(h)
+        # A pair takes its upper element from degree d and its lower one
+        # from d - 1; count the pairs into each degree from the top down.
+        pairs_above = 0
+        for d in range(self.top, self.bottom - 1, -1):
+            fs = faces.get(d, ())
+            left = [f for f in fs if f in alive]
+            pairs = len(fs) - len(left) - pairs_above - (critical if d == 0 else 0)
+            pairs_above = pairs
+            rows = {}
+            for f in left:
+                row = {g: c for g, c in columns[f].items() if g in alive}
+                if row:
+                    rows[f] = row
+            table[d] = [1] * pairs
+            if rows:
+                table[d] += invariant_factors_sparse(rows)
+        return table
+
+    def _graph_factors(self, table: dict) -> dict:
+        """Factors of a simplicial complex of dimension at most 1, a graph.
+
+        The augmentation has the single factor 1, and the map out of the
+        edges has one factor 1 per edge of a spanning forest: V minus the
+        number of components.  One union-find pass counts them.
+        """
+        vertices = self.faces.get(0, ())
+        if not vertices:
+            return table
+        table[0] = [1]
+        parent = {v: v for v in vertices}
+        columns = self.columns
+        merges = 0
+        for e in self.faces.get(1, ()):
+            u, w = columns[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            if u != w:
+                parent[u] = w
+                merges += 1
+        table[1] = [1] * merges
+        return table
 
     def _groups(self, torsion_shift: int) -> dict:
         """One group per degree, bottom .. top, zero groups included.
 
         The free rank at d is the size of C_d minus the ranks of the maps
         out of and into it; the torsion is the non-unit factors of the map
-        into C_{d - 1 + torsion_shift}.
+        into C_{d - 1 + torsion_shift}.  Factor lists ascend, so a map has
+        torsion exactly when its last factor exceeds 1.
         """
         factors = self.boundary_factor_table()
         faces = self.faces
         out = {}
         for d in range(self.bottom, self.top + 1):
             free = len(faces.get(d, ())) - len(factors[d]) - len(factors[d + 1])
-            out[d] = Abelian(free, tuple([t for t in factors[d + torsion_shift] if t > 1]))
+            shifted = factors[d + torsion_shift]
+            if shifted and shifted[-1] > 1:
+                out[d] = Abelian(free, tuple([t for t in shifted if t > 1]))
+            else:
+                out[d] = Abelian(free, ()) if free else ZERO_GROUP
         return out
 
     def homology(self) -> dict:

@@ -14,13 +14,18 @@ only when the union of the rest is unchanged, so it preserves the support
 and homology can be computed one support stratum at a time.
 
 Each Koszul piece (fixed j) and Taylor stratum (fixed support) becomes a
-:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element.
+:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element;
+:func:`koszul_pieces` and :func:`taylor_strata` yield them one at a time.
 Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
+Both refuse, before building anything, a complex whose basis would exceed
+its cap: ``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_GENERATOR_CAP`` missing
+faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitsets import iter_vertices, lex_key, vertices_of
 from .complexes import SimplicialComplex
@@ -28,6 +33,7 @@ from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, sum_groups
 
 TAYLOR_GENERATOR_CAP = 20
+KOSZUL_BASIS_CAP = 1 << 22
 
 
 @dataclass
@@ -62,10 +68,13 @@ def _checked_columns(basis, differential, method: str) -> dict:
     return columns
 
 
-def _nonzero_homology(basis_by_degree: dict, differential, method: str) -> dict:
-    """Nonzero homology groups of the complex that ``differential`` spans on the basis."""
+def _checked_complex(basis_by_degree: dict, differential, method: str) -> ChainComplexZ:
+    """The complex that ``differential`` spans on the basis, d o d = 0 checked."""
     keys = [key for keys in basis_by_degree.values() for key in keys]
-    cc = ChainComplexZ(basis_by_degree, _checked_columns(keys, differential, method))
+    return ChainComplexZ(basis_by_degree, _checked_columns(keys, differential, method))
+
+
+def _nonzero_homology(cc: ChainComplexZ) -> dict:
     return {d: group for d, group in cc.homology().items() if not group.is_zero}
 
 
@@ -83,8 +92,18 @@ def _koszul_sign(v: int, sigma: int) -> int:
     return -1 if below & 1 else 1
 
 
-def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
-    """Cohomology of the Koszul quotient algebra, one piece of fixed j at a time.
+def check_koszul_budget(complex_: SimplicialComplex) -> None:
+    """Refuse a Koszul complex of more than ``KOSZUL_BASIS_CAP`` monomials."""
+    size = koszul_basis_size(complex_)
+    if size > KOSZUL_BASIS_CAP:
+        raise CapExceeded(
+            f"the Koszul complex has {size} monomials, over the cap of {KOSZUL_BASIS_CAP}; "
+            "refusing"
+        )
+
+
+def koszul_pieces(complex_: SimplicialComplex) -> Iterator[tuple]:
+    """The Koszul quotient algebra as ``(j, ChainComplexZ)`` pieces of fixed j.
 
     d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
     the term dropped whenever tau + v is not a face.  d preserves j = |sigma|
@@ -92,6 +111,7 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
     integer ``sigma | tau << m``, and d o d = 0 is checked on every monomial
     before any reduction.
     """
+    check_koszul_budget(complex_)
     faces = complex_.face_set()
     m = complex_.m
     full = (1 << m) - 1
@@ -116,9 +136,15 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
                 column[(sigma & ~bit) | (tau | bit) << m] = _koszul_sign(v, sigma)
         return column
 
-    entries = {}
     for j, basis in pieces.items():
-        for i, group in _nonzero_homology(basis, differential, "koszul").items():
+        yield j, _checked_complex(basis, differential, "koszul")
+
+
+def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
+    """Cohomology of the Koszul quotient algebra, one piece of fixed j at a time."""
+    entries = {}
+    for j, cc in koszul_pieces(complex_):
+        for i, group in _nonzero_homology(cc).items():
             entries[(i, j)] = group
     return TorTable(entries={key: entries[key] for key in sorted(entries)})
 
@@ -184,20 +210,27 @@ class TaylorTable:
         )
 
 
-def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
-    """Homology of the Taylor complex, stratified by support.
-
-    A monomial is the bitmask of its factors' positions in ``missing``.
-    d(u) drops the i-th factor with sign (-1)^i and keeps the term only when
-    the support is unchanged, so each (r, S) stratum is a finite complex of
-    its own; d o d = 0 is checked stratum by stratum.
-    """
+def check_taylor_budget(complex_: SimplicialComplex) -> None:
+    """Refuse a Taylor complex on more than ``TAYLOR_GENERATOR_CAP`` missing faces."""
     missing = complex_.missing_faces()
     if len(missing) > TAYLOR_GENERATOR_CAP:
         raise CapExceeded(
             f"{len(missing)} missing faces means 2^{len(missing)} Taylor monomials; "
             "refusing"
         )
+
+
+def taylor_strata(complex_: SimplicialComplex) -> Iterator[tuple]:
+    """The Taylor complex as ``(support, ChainComplexZ)`` strata of fixed support.
+
+    A monomial is the bitmask of its factors' positions in the missing face
+    list.  d(u) drops the i-th factor with sign (-1)^i and keeps the term
+    only when the support is unchanged, so each support S spans a finite
+    complex of its own, graded by the exterior degree r; d o d = 0 is
+    checked stratum by stratum.
+    """
+    check_taylor_budget(complex_)
+    missing = complex_.missing_faces()
     supports = [0] * (1 << len(missing))
     strata_basis: dict[int, dict] = {}  # support -> r -> monomials
     for mono in range(1 << len(missing)):
@@ -219,12 +252,18 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
             sign = -sign
         return column
 
-    strata = {}
     for support, basis in strata_basis.items():
-        for r, group in _nonzero_homology(basis, differential, "taylor").items():
+        yield support, _checked_complex(basis, differential, "taylor")
+
+
+def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
+    """Homology of the Taylor complex, one (r, S) stratum at a time."""
+    strata = {}
+    for support, cc in taylor_strata(complex_):
+        for r, group in _nonzero_homology(cc).items():
             strata[(r, support)] = group
     ordered = sorted(strata, key=lambda key: (key[0], lex_key(key[1])))
-    return TaylorTable(missing=missing, strata={key: strata[key] for key in ordered})
+    return TaylorTable(missing=complex_.missing_faces(), strata={key: strata[key] for key in ordered})
 
 
 # -- three-method agreement -----------------------------------------------------
@@ -246,10 +285,13 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     Comparison is per Tor bidegree for all three, and additionally per
     support stratum between the Taylor table and the subset table.  Raises
     MethodDisagreement at the first difference; this is a bug signal, not a
-    recoverable condition.
+    recoverable condition.  A complex over either cap raises CapExceeded
+    before the subset sweep starts.
     """
     from .hochster import bigraded_betti  # local import to avoid a cycle
 
+    check_koszul_budget(complex_)
+    check_taylor_budget(complex_)
     if table is None:
         table = bigraded_betti(complex_, **kwargs)
     hochster_table = table.tor_bidegrees()

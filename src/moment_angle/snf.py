@@ -16,6 +16,13 @@ heap ordered by Markowitz fill, so no pivot needs a scan of the whole matrix
 (see :func:`_sparse_unit_reduction`).  The pivot order never shows in a
 result: every elimination is a unimodular change of basis, and the invariant
 factors of a matrix do not depend on the bases.
+
+The boundary maps of a chain complex do not start here:
+:class:`~moment_angle.homology.ChainComplexZ` first coreduces the whole
+complex across all degrees, so a pair removed in one degree is gone from
+the next as well, and passes only the leftover columns to
+:func:`invariant_factors_sparse`.  The fill-free first pass here is the
+same move within one matrix, and it stays for plain matrices.
 """
 
 from __future__ import annotations

@@ -122,6 +122,16 @@ class TestZk:
             assert "Taylor" in err and "--max-vertices" not in err
 
 
+    def test_koszul_budget_refusal_names_no_flag(self, tmp_path, capsys):
+        # cross-polytope 7 has 16,777,216 Koszul monomials, over the cap
+        octahedral = tmp_path / "cp7.cplx"
+        run_cli(["construct", "cross-polytope", "7", "--out", str(octahedral)], capsys)
+        for argv in (["zk", str(octahedral), "--method", "koszul"], ["crosscheck", str(octahedral)]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and not out
+            assert "16777216" in err and "4194304" in err and "--max-vertices" not in err
+
+
 class TestReports:
     def test_betti(self, p28_file, capsys):
         code, out, _ = run_cli(["betti", p28_file], capsys)

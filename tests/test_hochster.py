@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import random
+
 from moment_angle import (
     Abelian,
     SimplicialComplex,
@@ -18,7 +20,9 @@ from moment_angle import (
     vertices_of,
     zk_betti,
 )
+from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate
+from moment_angle.hochster import BigradedBetti
 
 Z = Abelian(1, ())
 
@@ -170,6 +174,16 @@ class TestBigraded:
         multi = bigraded_betti(p28, threads=2)
         assert single.entries == multi.entries
         assert list(single.entries) == list(multi.entries)
+
+    def test_entries_are_in_size_then_lex_order(self):
+        # the bit-reversed sort key against (|J|, lex J, d) on every subset
+        rng = random.Random(7)
+        for m in range(13):
+            keys = [(subset, d) for subset in range(1 << m) for d in (-1, 0, 1, 3)]
+            rng.shuffle(keys)
+            table = BigradedBetti(m=m, dim=0, entries=dict.fromkeys(keys, Z))
+            expected = sorted(keys, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
+            assert list(table.entries) == expected, m
 
     def test_cap_refuses_large_ground_sets(self):
         with pytest.raises(CapExceeded):

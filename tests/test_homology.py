@@ -8,6 +8,7 @@ from moment_angle import (
     ChainComplexZ,
     SimplicialComplex,
     boundary_simplex,
+    cross_polytope,
     mask_of,
     polygon,
     pseudo_sphere_check,
@@ -18,6 +19,7 @@ from moment_angle import (
     truncated_simplex,
     two_points,
 )
+from moment_angle import homology
 from moment_angle.errors import NotACocycle, NotPure
 from moment_angle.homology import merge_torsion
 from moment_angle.snf import invariant_factors_sparse
@@ -36,6 +38,12 @@ RP2 = SimplicialComplex(
     6,
     [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
      (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)],
+)
+
+TWO_SPHERES = SimplicialComplex(
+    8,
+    [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+     (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)],
 )
 
 
@@ -91,6 +99,47 @@ class TestBasedFreeComplex:
         assert cc.homology() == {0: Abelian(0, (2,)), 1: Z}
         assert cc.cohomology() == {0: Abelian(0, ()), 1: Abelian(1, (2,))}
 
+    # Degrees -1..1 like an augmented graph, but not simplicial: neither the
+    # graph closed form nor dropping a vertex with an empty boundary holds.
+
+    def test_doubled_edge_leaves_z_mod_2(self):
+        # d(a) = d(b) = n, d(e) = 2a - 2b: H_0 = Z/2, not Z or 0
+        cc = ChainComplexZ({-1: [1], 0: [2, 4], 1: [8]}, {1: {}, 2: {1: 1}, 4: {1: 1}, 8: {2: 2, 4: -2}})
+        assert cc.boundary_factor_table() == {-1: [], 0: [1], 1: [2], 2: []}
+        assert cc.homology() == {-1: Abelian(0, ()), 0: Abelian(0, (2,)), 1: Abelian(0, ())}
+
+    def test_unit_column_with_a_non_unit_partner(self):
+        # d(a) = d(b) = 0, d(f) = a, d(e) = a + 2b: once f pairs with a, the
+        # column of e is 2b, which must not pair; H_0 = Z/2, H_-1 = Z
+        cc = ChainComplexZ(
+            {-1: [1], 0: [2, 4], 1: [8, 16]},
+            {1: {}, 2: {}, 4: {}, 8: {2: 1, 4: 2}, 16: {2: 1}},
+        )
+        assert cc.boundary_factor_table() == {-1: [], 0: [], 1: [1, 2], 2: []}
+        assert cc.homology() == {-1: Z, 0: Abelian(0, (2,)), 1: Abelian(0, ())}
+
+
+class TestCoreduction:
+    """Shortcuts of the coreduction pass that only simplicial complexes take."""
+
+    @pytest.fixture()
+    def no_elimination(self, monkeypatch):
+        def refuse(entries):
+            raise AssertionError(f"eliminated {entries}")
+
+        monkeypatch.setattr(homology, "invariant_factors_sparse", refuse)
+
+    def test_disjoint_spheres_need_no_elimination(self, no_elimination):
+        # one critical vertex per further component lets the pass run on
+        # through it, so nothing is left for the per-degree elimination
+        cc = ChainComplexZ.of_complex(TWO_SPHERES)
+        assert nonzero(cc.homology()) == {0: Z, 2: Abelian(2, ())}
+
+    def test_graphs_use_the_closed_form(self, no_elimination):
+        cc = ChainComplexZ.of_complex(polygon(5).join(two_points()).full_subcomplex((1, 3, 6, 7)))
+        assert cc.boundary_factor_table() == {-1: [], 0: [1], 1: [1, 1, 1], 2: []}
+        assert nonzero(cc.homology()) == {1: Z}
+
 
 class TestSubsetAssembly:
     """Subset chain complexes read the whole complex's boundary table.
@@ -124,6 +173,13 @@ class TestSubsetAssembly:
     @pytest.mark.parametrize("m", range(4, 9))
     def test_polygons(self, m):
         self.check_every_subset(polygon(m))
+
+    def test_spheres_on_eight_to_ten_vertices(self):
+        # full subcomplexes of dimension 2 to 4: two disjoint 2-spheres (one
+        # critical vertex), the 4-dimensional cross-polytope boundary on 10
+        # vertices, and stacked 2- and 3-spheres on 9
+        for complex_ in [TWO_SPHERES, cross_polytope(4), truncated_simplex(3, 5), truncated_simplex(4, 4)]:
+            self.check_every_subset(complex_)
 
     def test_random_complexes(self):
         for complex_ in random_complexes(20, seed=5):

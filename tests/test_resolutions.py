@@ -15,10 +15,13 @@ from moment_angle import (
     taylor_bigraded,
     taylor_monomial,
     taylor_product,
+    truncated_simplex,
     two_points,
     vertices_of,
 )
 from moment_angle.errors import CapExceeded
+from moment_angle.resolutions import KOSZUL_BASIS_CAP, koszul_pieces, taylor_strata
+from moment_angle.snf import invariant_factors_sparse
 from test_homology import RP2
 
 Z = Abelian(1, ())
@@ -79,6 +82,59 @@ class TestTaylor:
         assert len(skeleton.missing_faces()) == 56
         with pytest.raises(CapExceeded):
             taylor_bigraded(skeleton)
+
+
+class TestKoszulBudget:
+    def test_cross_polytope_7_is_refused(self):
+        from moment_angle import cross_polytope
+
+        octahedral = cross_polytope(7)
+        assert koszul_basis_size(octahedral) == 16_777_216 > KOSZUL_BASIS_CAP
+        with pytest.raises(CapExceeded, match=f"16777216 .* {KOSZUL_BASIS_CAP}"):
+            koszul_bigraded(octahedral)
+        with pytest.raises(CapExceeded):
+            cross_check(octahedral)
+
+    def test_p28_and_the_corpus_fit(self, p28, corpus):
+        assert koszul_basis_size(p28) <= KOSZUL_BASIS_CAP
+        assert max(koszul_basis_size(c) for c in corpus) <= KOSZUL_BASIS_CAP
+
+
+def seven_cycle_with_chords():
+    edges = [(i, i % 7 + 1) for i in range(1, 8)] + [(1, 4), (2, 6)]
+    return SimplicialComplex(7, edges)
+
+
+class TestPieceOracle:
+    """The coreduction pass against the per-degree reduction, piece by piece.
+
+    All three methods read their groups through the same pass, so their
+    agreement cannot see a fault in it; the oracle reduces each boundary
+    matrix on its own from the local-index entries.
+    """
+
+    @staticmethod
+    def check(pieces):
+        count = 0
+        for _, cc in pieces:
+            expected = {
+                d: invariant_factors_sparse(cc.boundary_entries(d))
+                for d in range(cc.bottom, cc.top + 2)
+            }
+            assert cc.boundary_factor_table() == expected
+            count += 1
+        assert count
+
+    @pytest.mark.parametrize("name", ["p28", "RP2", "7-cycle+chords", "truncated-simplex 5 2"])
+    def test_koszul_pieces_and_taylor_strata(self, name, p28):
+        complex_ = {
+            "p28": p28,
+            "RP2": RP2,
+            "7-cycle+chords": seven_cycle_with_chords(),
+            "truncated-simplex 5 2": truncated_simplex(5, 2),
+        }[name]
+        self.check(koszul_pieces(complex_))
+        self.check(taylor_strata(complex_))
 
 
 class TestTaylorProduct:
