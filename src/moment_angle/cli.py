@@ -185,6 +185,17 @@ def cmd_crosscheck(args) -> int:
     except MethodDisagreement as exc:
         sys.stderr.write(f"method disagreement: {exc}\n")
         return CHECK_FAILED
+    if args.json:
+        payload = {
+            "ok": report.ok,
+            "bidegrees": [
+                [i, j, g.rank, list(g.torsion)]
+                for (i, j), g in sorted(report.bidegrees.items())
+            ],
+            "strata_checked": report.strata_checked,
+        }
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return 0
     _emit(
         f"three methods agree on {len(report.bidegrees)} bidegrees "
         f"({report.strata_checked} strata refined)\n",

@@ -14,6 +14,7 @@ from the fully tracked Smith normal form in :class:`CohomologyBasis`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -100,8 +101,11 @@ class ChainComplexZ:
     encoded monomials for the Koszul pieces and Taylor strata of
     :mod:`.resolutions`.  A subcomplex may reuse its parent's table.
 
-    Invariant factors are read straight from ``columns``, by one
-    coreduction pass across all degrees (:meth:`boundary_factor_table`).
+    Invariant factors are read straight from ``columns``, by one reduction
+    pass across all degrees (:meth:`boundary_factor_table`).  It pairs
+    coreductions (an element with a single +-1 boundary entry) and, once
+    those stall, free faces (an element with a single coface, on a +-1
+    entry), and eliminates only what neither move reaches.
     ``simplicial`` is set by :meth:`of_complex` and :meth:`of_subset` only:
     two steps of the pass rely on every edge column being v - u.
     ``boundary_entries`` is the local-index form, used by cocycle bases.
@@ -173,16 +177,34 @@ class ChainComplexZ:
         return self._factors
 
     def _coreduced_factors(self) -> dict:
-        """One coreduction pass over all degrees, then elimination of the rest.
+        """One reduction pass over all degrees, then elimination of the rest.
 
-        A basis element whose boundary, among the elements still present, is
-        a single element with coefficient +-1 is removed together with that
-        element (Mrozek and Batko, *Coreduction homology algorithm*, 2009).
-        The pair is a unimodular change of basis that leaves the other
+        Two moves remove a pair of basis elements, one from degree d and one
+        from d - 1, whose entry in the restricted d-th boundary is +-1:
+
+        * a coreduction: an element whose boundary, among the elements still
+          present, is a single element (Mrozek and Batko, *Coreduction
+          homology algorithm*, 2009);
+        * a free face: an element with a single coface still present
+          (Kaczynski, Mrozek and Slusarek, *Homology computation by
+          reduction of chain complexes*, 1998).
+
+        Either pair is a unimodular change of basis that leaves the other
         columns as they were, restricted to what is left, and it adds one
-        unit factor to the map out of its upper element's degree.  The
-        leftover elements keep their restricted columns and are reduced
-        degree by degree with :func:`invariant_factors_sparse`.
+        unit factor to the map out of the upper element's degree.
+
+        Boundary counts (elements still present in each column) are kept
+        from the start.  Coface counts are made only once coreductions stall
+        with a nonempty column left, so a complex that coreduces down to its
+        homology generators never pays for them.  From then on a removal
+        updates both counts, and an element whose count falls to 1 is
+        queued for the matching move.  Both queues are worked first in,
+        first out.  The order changes no factor, only how far the moves
+        reach: newest first left 85,113 elements of the largest Taylor
+        stratum of the 8-cycle with chords {1,5}, {2,6} for elimination,
+        oldest first leaves 3.  The leftover elements keep their restricted
+        columns and are reduced degree by degree with
+        :func:`invariant_factors_sparse`.
         """
         faces, columns = self.faces, self.columns
         table = {d: [] for d in range(self.bottom, self.top + 2)}
@@ -200,10 +222,16 @@ class ChainComplexZ:
         for f in alive:
             for g in columns[f]:
                 cofaces[g].append(f)
-        queue = [f for f, n in alive.items() if n == 1]
+        queue = deque(f for f, n in alive.items() if n == 1)
+        # up: element -> how many of its cofaces are still present, made
+        # once queue and critical vertices run dry with some column still
+        # nonempty (a free face's coface has one); free holds those at 1
+        up = None
+        free = deque()
         # Simplicial only: once the queue is empty, every vertex left has an
-        # empty boundary, and every edge left has both its vertices (it
-        # would have been paired otherwise), so the rows of each component
+        # empty boundary, and every edge left has both its vertices or
+        # neither (with one it would have been paired, and a free face
+        # takes a vertex with its only edge), so the rows of each component
         # of the remaining graph sum to zero.  Dropping one vertex per
         # component then keeps the factors of the map out of degree 1 and
         # leaves that vertex as a free generator of H~_0.
@@ -211,7 +239,7 @@ class ChainComplexZ:
         critical = 0
         while True:
             if queue:
-                f = queue.pop()
+                f = queue.popleft()
                 if alive.get(f) != 1:
                     continue
                 for g, c in columns[f].items():
@@ -220,12 +248,28 @@ class ChainComplexZ:
                 if c != 1 and c != -1:
                     continue
                 removed = (f, g)
+            elif free:
+                f = free.popleft()
+                if up.get(f) != 1:
+                    continue
+                for g in cofaces[f]:
+                    if g in alive:
+                        break
+                c = columns[g][f]
+                if c != 1 and c != -1:
+                    continue
+                removed = (f, g)
             else:
                 v = next((v for v in vertices if alive.get(v) == 0), None)
-                if v is None:
+                if v is not None:
+                    critical += 1
+                    removed = (v,)
+                elif up is None and any(alive.values()):
+                    up = {f: sum(h in alive for h in cofaces[f]) for f in alive}
+                    free.extend(f for f, n in up.items() if n == 1)
+                    continue
+                else:
                     break
-                critical += 1
-                removed = (v,)
             for x in removed:
                 del alive[x]
                 for h in cofaces[x]:
@@ -234,6 +278,14 @@ class ChainComplexZ:
                         alive[h] = n - 1
                         if n == 2:
                             queue.append(h)
+                if up is not None:
+                    del up[x]
+                    for h in columns[x]:
+                        n = up.get(h)
+                        if n:
+                            up[h] = n - 1
+                            if n == 2:
+                                free.append(h)
         # A pair takes its upper element from degree d and its lower one
         # from d - 1; count the pairs into each degree from the top down.
         pairs_above = 0

@@ -18,11 +18,15 @@ result: every elimination is a unimodular change of basis, and the invariant
 factors of a matrix do not depend on the bases.
 
 The boundary maps of a chain complex do not start here:
-:class:`~moment_angle.homology.ChainComplexZ` first coreduces the whole
-complex across all degrees, so a pair removed in one degree is gone from
+:class:`~moment_angle.homology.ChainComplexZ` first pairs coreductions and
+free faces across all degrees, so a pair removed in one degree is gone from
 the next as well, and passes only the leftover columns to
-:func:`invariant_factors_sparse`.  The fill-free first pass here is the
-same move within one matrix, and it stays for plain matrices.
+:func:`invariant_factors_sparse`.  What is left of a chain complex is then
+mostly a torsion core (5 or 6 rows for the Z/2 of the 6-vertex RP^2), so the
+lazy heap works on those cores and on plain matrices such as the ones
+:func:`invariant_factors` and :func:`is_unimodular_square` are given.  The
+fill-free first pass here is the same move within one matrix, and it stays
+for plain matrices.
 """
 
 from __future__ import annotations

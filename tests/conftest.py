@@ -27,3 +27,14 @@ def corpus():
 def small_corpus(corpus):
     """A slice used by the slower property checks."""
     return corpus[:30]
+
+
+@pytest.fixture()
+def no_elimination(monkeypatch):
+    """Fail any chain complex whose reduction pass leaves elements over."""
+    from moment_angle import homology
+
+    def refuse(entries):
+        raise AssertionError(f"eliminated {entries}")
+
+    monkeypatch.setattr(homology, "invariant_factors_sparse", refuse)

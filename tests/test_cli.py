@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import read_cplx
+from moment_angle import cross_check, read_cplx
 from moment_angle.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -150,6 +150,18 @@ class TestReports:
     def test_crosscheck(self, pentagon_file, capsys):
         code, out, _ = run_cli(["crosscheck", pentagon_file], capsys)
         assert code == 0 and "agree" in out
+
+    def test_crosscheck_json(self, pentagon_file, capsys):
+        code, out, _ = run_cli(["crosscheck", pentagon_file, "--json"], capsys)
+        assert code == 0
+        report = cross_check(read_cplx(Path(pentagon_file).read_text()))
+        assert json.loads(out) == {
+            "ok": True,
+            "bidegrees": [
+                [i, j, g.rank, list(g.torsion)] for (i, j), g in sorted(report.bidegrees.items())
+            ],
+            "strata_checked": report.strata_checked,
+        }
 
     def test_classify_exit_codes(self, p28_file, tmp_path, capsys):
         assert run_cli(["classify", p28_file], capsys)[0] == 0

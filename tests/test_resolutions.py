@@ -100,8 +100,8 @@ class TestKoszulBudget:
         assert max(koszul_basis_size(c) for c in corpus) <= KOSZUL_BASIS_CAP
 
 
-def seven_cycle_with_chords():
-    edges = [(i, i % 7 + 1) for i in range(1, 8)] + [(1, 4), (2, 6)]
+def seven_cycle_with_chords(chords=((1, 4), (2, 6))):
+    edges = [(i, i % 7 + 1) for i in range(1, 8)] + list(chords)
     return SimplicialComplex(7, edges)
 
 
@@ -125,16 +125,36 @@ class TestPieceOracle:
             count += 1
         assert count
 
-    @pytest.mark.parametrize("name", ["p28", "RP2", "7-cycle+chords", "truncated-simplex 5 2"])
-    def test_koszul_pieces_and_taylor_strata(self, name, p28):
-        complex_ = {
+    @staticmethod
+    def complex_named(name, p28):
+        return {
             "p28": p28,
             "RP2": RP2,
+            "RP2*S0": RP2.join(two_points()),
             "7-cycle+chords": seven_cycle_with_chords(),
+            "7-cycle+chord{1,4}": seven_cycle_with_chords([(1, 4)]),
             "truncated-simplex 5 2": truncated_simplex(5, 2),
         }[name]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["p28", "RP2", "RP2*S0", "7-cycle+chords", "7-cycle+chord{1,4}", "truncated-simplex 5 2"],
+    )
+    def test_koszul_pieces_and_taylor_strata(self, name, p28):
+        complex_ = self.complex_named(name, p28)
         self.check(koszul_pieces(complex_))
         self.check(taylor_strata(complex_))
+
+    @pytest.mark.parametrize(
+        "name", ["p28", "7-cycle+chords", "7-cycle+chord{1,4}", "truncated-simplex 5 2"]
+    )
+    def test_free_faces_leave_nothing_to_eliminate(self, name, p28, no_elimination):
+        # coreductions alone stall on the Taylor strata; with free faces
+        # paired too, no piece of these torsion-free inputs needs elimination
+        # (the one-chord cycle also needs the queues taken oldest first)
+        complex_ = self.complex_named(name, p28)
+        for _, cc in [*koszul_pieces(complex_), *taylor_strata(complex_)]:
+            cc.boundary_factor_table()
 
 
 class TestTaylorProduct:
