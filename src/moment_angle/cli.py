@@ -99,9 +99,7 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def _totals_by_method(complex_, method: str, threads: int, cap: int):
-    if method == "hochster":
-        return bigraded_betti(complex_, threads=threads, max_vertices=cap).total()
+def _totals_by_method(complex_, method: str, cap: int):
     if method == "koszul":
         check_vertex_cap(complex_, cap)
         return koszul_bigraded(complex_).total()
@@ -127,7 +125,7 @@ def cmd_zk(args) -> int:
     if args.method in ("hochster", "all"):
         totals = table.total()
     else:
-        totals = _totals_by_method(complex_, args.method, threads, cap)
+        totals = _totals_by_method(complex_, args.method, cap)
     if args.json:
         if table is not None:
             payload = table.to_json_obj()

@@ -463,7 +463,6 @@ def functoriality_check(
     subset,
     *,
     max_pairs: int = 64,
-    sub_kwargs: dict | None = None,
 ) -> FunctorialityReport:
     """Products computed inside a full subcomplex match the ambient ones.
 
@@ -477,7 +476,7 @@ def functoriality_check(
         raise NotASubcomplex(f"{vertices_of(subset)} is not within 1..{complex_.m}")
     sub = complex_.full_subcomplex(subset)
     parents = sub.parent_vertices
-    sub_table = bigraded_betti(sub, **(sub_kwargs or {}))
+    sub_table = bigraded_betti(sub)
     sub_pres = ring_presentation(sub, table=sub_table)
     checked = 0
     for g in sub_pres.generators:

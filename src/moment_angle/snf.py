@@ -7,13 +7,15 @@ entry growth is merely slow, never wrong.  One dense pivot loop,
 * :func:`smith_normal_form` hands it the unimodular transforms (and their
   inverses) to update, for the small matrices behind explicit cocycle bases.
 * :func:`_diag_snf` runs it untracked and keeps only the nonzero diagonal.
-  :func:`invariant_factors` gets there after first eliminating on +-1
-  pivots in a sparse representation, which is where boundary-like matrices
-  spend almost all their rank, so the dense loop only sees a tiny core.
+  :func:`invariant_factors` gets there after first eliminating fill-free
+  +-1 pivots in a sparse representation, which is where boundary-like
+  matrices spend almost all their rank, so the dense loop only sees a tiny
+  core.
 
-The +-1 pivots are taken fill-free ones first, in one pass, and then from a
-heap ordered by Markowitz fill, so no pivot needs a scan of the whole matrix
-(see :func:`_sparse_unit_reduction`).  The pivot order never shows in a
+A fill-free pivot is a +-1 entry alone in its row or in its column:
+eliminating it changes no other entry.  :func:`_sparse_unit_reduction`
+sweeps the matrix for them, in row order, until a sweep eliminates nothing;
+whatever is left goes to the dense loop as it is.  No pivot order shows in a
 result: every elimination is a unimodular change of basis, and the invariant
 factors of a matrix do not depend on the bases.
 
@@ -21,18 +23,16 @@ The boundary maps of a chain complex do not start here:
 :class:`~moment_angle.homology.ChainComplexZ` first pairs coreductions and
 free faces across all degrees, so a pair removed in one degree is gone from
 the next as well, and passes only the leftover columns to
-:func:`invariant_factors_sparse`.  What is left of a chain complex is then
-mostly a torsion core (5 or 6 rows for the Z/2 of the 6-vertex RP^2), so the
-lazy heap works on those cores and on plain matrices such as the ones
-:func:`invariant_factors` and :func:`is_unimodular_square` are given.  The
-fill-free first pass here is the same move within one matrix, and it stays
-for plain matrices.
+:func:`invariant_factors_sparse`.  Those leftovers have no fill-free pivot
+left, and they are small torsion cores (5 or 6 rows for the Z/2 of the
+6-vertex RP^2).  The sweep here is the same move within one matrix, for
+plain matrices such as the ones :func:`invariant_factors` and
+:func:`is_unimodular_square` are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 Matrix = list  # list[list[int]]
 
@@ -201,8 +201,11 @@ def _reduce(d: Matrix, rows: int, cols: int, tracked: tuple | None = None) -> li
                 j += 1
             if dirty:
                 continue
-            # row and column are clean; enforce divisibility of the rest
+            # row and column are clean; enforce divisibility of the rest,
+            # which a unit pivot has already
             p = d[t][t]
+            if p == 1:
+                break
             offender = None
             for i in range(t + 1, rows):
                 row = d[i]
@@ -237,101 +240,52 @@ def _diag_snf(d: Matrix) -> list:
     return _reduce(d, len(d), len(d[0]) if d else 0)
 
 
-def _eliminate(rows_map: dict, cols_map: dict, pr, pc) -> list:
-    """Clear column ``pc`` with the +-1 pivot at ``(pr, pc)`` and drop row ``pr``.
+def _eliminate(rows_map: dict, cols_map: dict, pr, pc) -> None:
+    """Drop row ``pr`` and column ``pc`` of the fill-free +-1 pivot at ``(pr, pc)``.
 
-    Returns the rows that were changed.
+    The pivot is alone in its row or in its column, so clearing the rest of
+    both with it changes no other entry.
     """
-    pivot_row = rows_map.pop(pr)
-    p = pivot_row[pc]
-    for c in pivot_row:
+    for c in rows_map.pop(pr):
         cols_map[c].discard(pr)
-    touched = list(cols_map[pc])
-    for r2 in touched:
+    for r2 in cols_map.pop(pc):
         row2 = rows_map[r2]
-        f = row2[pc] * p
-        for c2, val in pivot_row.items():
-            nv = row2.get(c2, 0) - f * val
-            if nv:
-                row2[c2] = nv
-                cols_map[c2].add(r2)
-            else:
-                if c2 in row2:
-                    del row2[c2]
-                    cols_map[c2].discard(r2)
+        del row2[pc]
         if not row2:
             del rows_map[r2]
-    del cols_map[pc]
-    return touched
 
 
 def _sparse_unit_reduction(rows_map: dict, cols_map: dict) -> int:
-    """Eliminate on +-1 pivots in place; returns how many were eliminated.
+    """Eliminate fill-free +-1 pivots in place; returns how many were eliminated.
 
     ``rows_map`` is ``{row: {col: value}}`` and ``cols_map`` is ``{col: set of
-    rows}``; both are kept in step, and on return no +-1 entry is left.  A
-    pivot's row is subtracted from the other rows of its column, and the
-    cleared pivot row is dropped.  Dropping it amounts to implicit column
-    operations that touch nothing else, so the invariant factors of the rest
-    are unchanged apart from one unit factor.
+    rows}``; both are kept in step.  A fill-free pivot is a +-1 entry alone
+    in its row or in its column (the coreductions of Mrozek and Batko).
+    Row operations with it clear the rest of its column and column
+    operations the rest of its row, and neither changes any other entry, so
+    its row and column are dropped and the invariant factors of the rest are
+    unchanged apart from one unit factor.
 
-    Pivot order, with no scan of the whole matrix per pivot:
-
-    * One pass in row order takes every fill-free pivot it meets: a +-1
-      entry alone in its row or in its column.  Eliminating it changes no
-      other entry (the coreductions of Mrozek and Batko).
-    * The other +-1 entries wait on a lazy heap keyed by the Markowitz fill
-      ``(len(row) - 1) * (len(col) - 1)``, then row, then column.  A popped
-      entry that is gone or no longer +-1 is skipped, and one whose fill has
-      changed is pushed back with its new fill.  After each pivot, only the
-      +-1 entries it wrote, in the rows it touched, are pushed.
-
-    The order only decides which unimodular row and column operations are
-    applied.  Invariant factors are unique, so no result depends on it.
+    Each sweep takes, in row order, every fill-free pivot it meets, and the
+    sweeps repeat until one eliminates nothing.  On return no +-1 entry is
+    alone in its row or its column; what is left is the core that
+    :func:`invariant_factors_sparse` hands to the dense loop.
     """
     eliminated = 0
-    for r in list(rows_map):
-        row = rows_map.get(r)
-        if row is None:
-            continue
-        single_row = len(row) == 1
-        for c, val in row.items():
-            if (val == 1 or val == -1) and (single_row or len(cols_map[c]) == 1):
-                _eliminate(rows_map, cols_map, r, c)
-                eliminated += 1
-                break
-    if not rows_map:
-        return eliminated
-
-    heap = [
-        ((len(row) - 1) * (len(cols_map[c]) - 1), r, c)
-        for r, row in rows_map.items()
-        for c, val in row.items()
-        if val == 1 or val == -1
-    ]
-    heapify(heap)
-    while heap:
-        fill, r, c = heappop(heap)
-        row = rows_map.get(r)
-        if row is None:
-            continue
-        val = row.get(c)
-        if val != 1 and val != -1:
-            continue
-        now = (len(row) - 1) * (len(cols_map[c]) - 1)
-        if now != fill:
-            heappush(heap, (now, r, c))
-            continue
-        eliminated += 1
-        for r2 in _eliminate(rows_map, cols_map, r, c):
-            row2 = rows_map.get(r2)
-            if row2 is None:
+    while rows_map:
+        before = eliminated
+        for r in list(rows_map):
+            row = rows_map.get(r)
+            if row is None:
                 continue
-            rl = len(row2) - 1
-            for c2 in row:  # the columns whose entries the pivot rewrote
-                val = row2.get(c2)
-                if val == 1 or val == -1:
-                    heappush(heap, (rl * (len(cols_map[c2]) - 1), r2, c2))
+            single_row = len(row) == 1
+            for c, val in row.items():
+                if (val == 1 or val == -1) and (single_row or len(cols_map[c]) == 1):
+                    _eliminate(rows_map, cols_map, r, c)
+                    eliminated += 1
+                    break
+        if eliminated == before:
+            break
     return eliminated
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output determinism, JSON round trips."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,11 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import cross_check, read_cplx
+from moment_angle import cross_check, read_cplx, write_cplx
 from moment_angle.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(argv, capsys):
@@ -151,17 +161,17 @@ class TestReports:
         code, out, _ = run_cli(["crosscheck", pentagon_file], capsys)
         assert code == 0 and "agree" in out
 
-    def test_crosscheck_json(self, pentagon_file, capsys):
-        code, out, _ = run_cli(["crosscheck", pentagon_file, "--json"], capsys)
-        assert code == 0
-        report = cross_check(read_cplx(Path(pentagon_file).read_text()))
-        assert json.loads(out) == {
-            "ok": True,
-            "bidegrees": [
-                [i, j, g.rank, list(g.torsion)] for (i, j), g in sorted(report.bidegrees.items())
-            ],
-            "strata_checked": report.strata_checked,
-        }
+    def test_crosscheck_json(self, pentagon_file, tmp_path, capsys):
+        # the CLI and the benchmark's digest build the same payload, torsion included
+        workloads = benchmark_workloads()
+        rp2 = tmp_path / "rp2.cplx"
+        rp2.write_text(write_cplx(workloads.rp2_6()))
+        for path, has_torsion in [(Path(pentagon_file), False), (rp2, True)]:
+            code, out, _ = run_cli(["crosscheck", str(path), "--json"], capsys)
+            assert code == 0
+            payload = workloads.crosscheck_payload(cross_check(read_cplx(path.read_text())))
+            assert json.loads(out) == payload
+            assert any(torsion for *_, torsion in payload["bidegrees"]) == has_torsion
 
     def test_classify_exit_codes(self, p28_file, tmp_path, capsys):
         assert run_cli(["classify", p28_file], capsys)[0] == 0

@@ -19,8 +19,10 @@ from moment_angle import (
     truncated_simplex,
     two_points,
 )
+from moment_angle import homology
 from moment_angle.errors import NotACocycle, NotPure
 from moment_angle.homology import merge_torsion
+from moment_angle.resolutions import koszul_pieces, taylor_strata
 from moment_angle.snf import invariant_factors_sparse
 
 Z = Abelian(1, ())
@@ -139,6 +141,41 @@ class TestCoreduction:
         cc = ChainComplexZ.of_complex(polygon(5).join(two_points()).full_subcomplex((1, 3, 6, 7)))
         assert cc.boundary_factor_table() == {-1: [], 0: [1], 1: [1, 1, 1], 2: []}
         assert nonzero(cc.homology()) == {1: Z}
+
+
+class TestLeftoverCores:
+    """What the reduction pass leaves has no fill-free pivot.
+
+    Coreductions take every +-1 entry alone in its row, free faces every one
+    alone in its column, so the per-degree elimination gets only cores that
+    the dense Smith loop has to work on.
+    """
+
+    def test_no_unit_alone_in_its_row_or_column(self, monkeypatch):
+        leftovers = []
+
+        def record(entries):
+            leftovers.append(entries)
+            return invariant_factors_sparse(entries)
+
+        monkeypatch.setattr(homology, "invariant_factors_sparse", record)
+        for complex_ in [RP2, RP2.join(two_points()), *random_complexes(100, max_missing=10)]:
+            for subset in range(1 << complex_.m):
+                ChainComplexZ.of_subset(complex_, subset).boundary_factor_table()
+            for pieces in (koszul_pieces(complex_), taylor_strata(complex_)):
+                for _, cc in pieces:
+                    cc.boundary_factor_table()
+        assert leftovers
+        for entries in leftovers:
+            column_sizes = {}
+            for row in entries.values():
+                for c in row:
+                    column_sizes[c] = column_sizes.get(c, 0) + 1
+            assert not any(
+                v in (1, -1) and (len(row) == 1 or column_sizes[c] == 1)
+                for row in entries.values()
+                for c, v in row.items()
+            ), entries
 
 
 class TestSubsetAssembly:

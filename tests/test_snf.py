@@ -192,7 +192,12 @@ class TestSparseReduction:
         ]
         assert [1] * pivots + invariant_factors(leftover) == invariant_factors(matrix)
         assert all(row for row in rows_map.values())
-        assert not any(v in (1, -1) for row in rows_map.values() for v in row.values())
+        # the sweeps stop at their fixpoint: no +-1 entry alone in its row or column
+        assert not any(
+            v in (1, -1) and (len(row) == 1 or len(cols_map[c]) == 1)
+            for row in rows_map.values()
+            for c, v in row.items()
+        )
         for c, rs in cols_map.items():
             assert rs == {r for r, row in rows_map.items() if c in row}
         assert all(r in cols_map[c] for r, row in rows_map.items() for c in row)
