@@ -47,13 +47,10 @@ from .hochster import (
     zk_betti,
 )
 from .resolutions import (
-    TaylorMonomial,
     cross_check,
     koszul_basis_size,
     koszul_bigraded,
     taylor_bigraded,
-    taylor_monomial,
-    taylor_product,
 )
 from .ring import (
     HochsterClass,
@@ -80,7 +77,6 @@ __all__ = [
     "MomentAngleError",
     "RingPresentation",
     "SimplicialComplex",
-    "TaylorMonomial",
     "alexander_duality_check",
     "bigraded_betti",
     "boundary_simplex",
@@ -111,8 +107,6 @@ __all__ = [
     "smith_normal_form",
     "star_product",
     "taylor_bigraded",
-    "taylor_monomial",
-    "taylor_product",
     "triple_product_rank",
     "truncated_simplex",
     "two_points",

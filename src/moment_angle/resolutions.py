@@ -152,46 +152,6 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
 # -- Taylor complex on the missing faces ---------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorMonomial:
-    """Product of distinct missing faces, kept in canonical order.
-
-    ``indices`` are positions in the (cardinality, lex)-sorted missing face
-    list; ``support`` is the union of the factors.
-    """
-
-    indices: tuple
-    support: int
-
-
-def taylor_monomial(indices, missing: tuple) -> TaylorMonomial:
-    idx = tuple(sorted(indices))
-    support = 0
-    for k in idx:
-        support |= missing[k]
-    return TaylorMonomial(indices=idx, support=support)
-
-
-def taylor_product(u: TaylorMonomial, v: TaylorMonomial, missing: tuple) -> tuple:
-    """Exterior product with the reordering sign; zero on overlapping support.
-
-    Returns (sign, monomial) or (0, None).
-    """
-    if u.support & v.support:
-        return (0, None)
-    if set(u.indices) & set(v.indices):
-        return (0, None)
-    merged = u.indices + v.indices
-    # parity of the merge of the two ascending index sequences
-    inversions = 0
-    for a in u.indices:
-        for b in v.indices:
-            if a > b:
-                inversions += 1
-    sign = -1 if inversions & 1 else 1
-    return (sign, taylor_monomial(merged, missing))
-
-
 @dataclass
 class TaylorTable:
     """Taylor homology per stratum (exterior degree r, support mask S)."""

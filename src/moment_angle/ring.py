@@ -200,9 +200,6 @@ class RingPresentation:
             self._contexts[subset] = ctx
         return ctx
 
-    def generator(self, gid: int) -> RingGenerator:
-        return self.generators[gid]
-
     def find(self, subset, degree: int, index: int = 0) -> RingGenerator:
         """Generator by its (subset, degree, index) address."""
         if not isinstance(subset, int):
@@ -391,6 +388,12 @@ def product_span_rank(presentation: RingPresentation, t: int, target_degree: int
 
 @dataclass
 class PairingReport:
+    """Failure entries are ``(p, detail)``, p the degree of a failing block.
+
+    ``detail`` is ``"rank mismatch r vs c"`` when the block and its
+    complement differ in size, otherwise the block's pairing matrix.
+    """
+
     ok: bool
     top: int
     failures: list
@@ -400,37 +403,30 @@ class PairingReport:
 
 
 def poincare_pairing_report(presentation: RingPresentation) -> PairingReport:
-    """Unimodularity of the product pairing in all complementary degrees.
+    """Unimodularity of the product pairing, one complementary block at a time.
 
-    For each p the matrix pairs generators of degree p against generators of
-    degree top - p through the coefficient on the fundamental class; for a
-    sphere candidate this must be square and have determinant +-1.
+    By Baskakov's rule the block over (I, d) reaches the fundamental class
+    only against the block over ([m] - I, dim - 1 - d), so the pairing is
+    block diagonal, and unimodular exactly when each block of degree
+    0 < p < top is square with determinant +-1 against its complement.
     """
     complex_ = presentation.complex
     top = complex_.m + complex_.dim() + 1
     fid = presentation.fundamental_id
-    failures = []
     if fid is None:
         return PairingReport(ok=False, top=top, failures=[("no fundamental class", None)])
-    for p in range(1, top // 2 + 1):
-        left = presentation.degree_generators(p)
-        right = presentation.degree_generators(top - p)
-        if len(left) != len(right):
-            failures.append((p, f"rank mismatch {len(left)} vs {len(right)}"))
+    on_top = {pair: dict(terms).get(fid, 0) for pair, terms in presentation.products.items()}
+    full = (1 << complex_.m) - 1
+    failures = []
+    for (subset, d), rows in presentation._blocks.items():
+        p = subset.bit_count() + d + 1
+        if not 0 < p < top:
             continue
-        if not left:
-            continue
-        matrix = []
-        for g in left:
-            row = []
-            for h in right:
-                coeff = 0
-                for gid, c in presentation.product(g.gid, h.gid):
-                    if gid == fid:
-                        coeff = c
-                row.append(coeff)
-            matrix.append(row)
-        if not is_unimodular_square(matrix):
+        cols = presentation._blocks.get((full & ~subset, complex_.dim() - 1 - d), range(0))
+        matrix = [[on_top.get((g, h), 0) for h in cols] for g in rows]
+        if len(rows) != len(cols):
+            failures.append((p, f"rank mismatch {len(rows)} vs {len(cols)}"))
+        elif not is_unimodular_square(matrix):
             failures.append((p, matrix))
     return PairingReport(ok=not failures, top=top, failures=failures)
 

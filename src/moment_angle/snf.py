@@ -26,8 +26,11 @@ the next as well, and passes only the leftover columns to
 :func:`invariant_factors_sparse`.  Those leftovers have no fill-free pivot
 left, and they are small torsion cores (5 or 6 rows for the Z/2 of the
 6-vertex RP^2).  The sweep here is the same move within one matrix, for
-plain matrices such as the ones :func:`invariant_factors` and
-:func:`is_unimodular_square` are given.
+the plain matrices :func:`invariant_factors` and :func:`is_unimodular_square`
+are given: the library sends them only small ones, such as one
+complementary block pair of a Poincaré pairing (at most 5 x 5 on the
+12-vertex truncated simplex), so a plain matrix without a fill-free pivot
+costs little in the cubic dense loop.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ from moment_angle import (
     mask_of,
     polygon,
     taylor_bigraded,
-    taylor_monomial,
-    taylor_product,
     truncated_simplex,
     two_points,
     vertices_of,
@@ -155,47 +153,6 @@ class TestPieceOracle:
         complex_ = self.complex_named(name, p28)
         for _, cc in [*koszul_pieces(complex_), *taylor_strata(complex_)]:
             cc.boundary_factor_table()
-
-
-class TestTaylorProduct:
-    def test_quadrilateral_disjoint_supports(self):
-        quad = polygon(4)
-        missing = quad.missing_faces()
-        u = taylor_monomial((0,), missing)
-        v = taylor_monomial((1,), missing)
-        sign, product = taylor_product(u, v, missing)
-        assert sign in (1, -1)
-        assert product.indices == (0, 1)
-        assert product.support == mask_of((1, 2, 3, 4))
-
-    def test_square_is_zero(self):
-        missing = polygon(4).missing_faces()
-        u = taylor_monomial((0,), missing)
-        assert taylor_product(u, u, missing) == (0, None)
-
-    def test_reordering_sign(self):
-        missing = polygon(4).missing_faces()
-        u = taylor_monomial((0,), missing)
-        v = taylor_monomial((1,), missing)
-        s1, p1 = taylor_product(u, v, missing)
-        s2, p2 = taylor_product(v, u, missing)
-        assert p1 == p2 and s1 == -s2
-
-    def test_p28_detects_the_pair_product(self, p28):
-        missing = p28.missing_faces()
-        i56 = missing.index(mask_of((5, 6)))
-        i78 = missing.index(mask_of((7, 8)))
-        sign, product = taylor_product(
-            taylor_monomial((i56,), missing), taylor_monomial((i78,), missing), missing
-        )
-        assert sign != 0
-        assert product.support == mask_of((5, 6, 7, 8))
-
-    def test_overlapping_supports_vanish(self, p28):
-        missing = p28.missing_faces()
-        a = taylor_monomial((2,), missing)  # (1, 2, 3)
-        b = taylor_monomial((4,), missing)  # (1, 3, 4)
-        assert taylor_product(a, b, missing) == (0, None)
 
 
 class TestCrossCheck:

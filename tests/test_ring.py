@@ -1,5 +1,6 @@
 """Cup products: the golden relations of the 8-vertex sphere and ring APIs."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -25,10 +26,11 @@ from moment_angle import (
     verify_csp_model,
     vertices_of,
 )
+from moment_angle import ring
 from moment_angle.errors import DegreeMismatch
 from moment_angle.reproduction import mcgavran_model
 from moment_angle.ring import ring_json_obj
-from moment_angle.snf import invariant_factors
+from moment_angle.snf import invariant_factors, is_unimodular_square
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +235,35 @@ class TestSpanRankOracle:
         assert result.consistent, result.mismatches
 
 
+def dense_pairing_ok(presentation):
+    """Oracle: the whole-degree pairing matrices, one ``product()`` per cell.
+
+    For each p the matrix pairs generators of degree p against generators of
+    degree top - p through the coefficient on the fundamental class; it must
+    be square with determinant +-1.
+    """
+    complex_ = presentation.complex
+    top = complex_.m + complex_.dim() + 1
+    fid = presentation.fundamental_id
+    if fid is None:
+        return False
+    for p in range(1, top // 2 + 1):
+        left = presentation.degree_generators(p)
+        right = presentation.degree_generators(top - p)
+        matrix = [[dict(presentation.product(g.gid, h.gid)).get(fid, 0) for h in right] for g in left]
+        if len(left) != len(right) or not is_unimodular_square(matrix):
+            return False
+    return True
+
+
+PAIRING_SPHERES = [
+    pytest.param(construct_p28_8(), id="p28"),
+    *(pytest.param(polygon(m), id=f"polygon{m}") for m in range(4, 10)),
+    *(pytest.param(truncated_simplex(2, k), id=f"truncated_simplex(2,{k})") for k in range(5, 8)),
+    pytest.param(cross_polytope(3), id="cross_polytope3"),
+]
+
+
 class TestPairing:
     def test_p28_unimodular_everywhere(self, p28_ring):
         report = poincare_pairing_report(p28_ring)
@@ -244,6 +275,46 @@ class TestPairing:
     def test_pentagon_and_hexagon(self):
         for m in (5, 6):
             assert poincare_pairing_report(ring_presentation(polygon(m))).ok
+
+    @pytest.mark.parametrize("complex_", PAIRING_SPHERES)
+    def test_blocks_match_the_dense_pairing_on_spheres(self, complex_):
+        presentation = ring_presentation(complex_)
+        assert poincare_pairing_report(presentation).ok
+        assert dense_pairing_ok(presentation)
+
+    @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+    def test_blocks_match_the_dense_pairing_on_the_corpus(self, corpus):
+        verdicts = []
+        for complex_ in corpus:
+            presentation = ring_presentation(complex_)
+            block = poincare_pairing_report(presentation).ok
+            assert block == dense_pairing_ok(presentation), complex_
+            verdicts.append(block)
+        assert not all(verdicts)  # the corpus holds non-spheres
+
+    def test_dropped_top_term_fails_both_checks(self, p28_ring):
+        fid = p28_ring.fundamental_id
+        products = dict(p28_ring.products)
+        pair = next(pair for pair, terms in products.items() if fid in dict(terms))
+        products[pair] = tuple((gid, c) for gid, c in products[pair] if gid != fid)
+        mutated = dataclasses.replace(p28_ring, products=products)
+        report = poincare_pairing_report(mutated)
+        assert not report.ok and not dense_pairing_ok(mutated)
+        degree = p28_ring.generators[pair[0]].total_degree
+        assert (degree, [[0]]) in report.failures  # the block's matrix, not the degree's
+        assert poincare_pairing_report(p28_ring).ok and dense_pairing_ok(p28_ring)
+
+    def test_no_matrix_wider_than_a_block(self, monkeypatch):
+        widths = []
+
+        def recording(matrix):
+            widths.append(max(len(matrix), len(matrix[0]) if matrix else 0))
+            return is_unimodular_square(matrix)
+
+        monkeypatch.setattr(ring, "is_unimodular_square", recording)
+        presentation = ring_presentation(truncated_simplex(2, 7))
+        assert poincare_pairing_report(presentation).ok
+        assert widths and max(widths) <= max(map(len, presentation._blocks.values()))
 
 
 class TestFunctoriality:
