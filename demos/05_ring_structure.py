@@ -11,9 +11,9 @@ from moment_angle import (
     construct_p28_8,
     poincare_pairing_report,
     polygon,
+    product_span_rank,
     ring_presentation,
     star_product,
-    triple_product_rank,
     vertices_of,
 )
 
@@ -42,8 +42,10 @@ print("a1 * a2 =", ring.product(a1.gid, a2.gid),
 triple = ring.product_class([a1.gid, a2.gid, alpha0.gid])
 coeff = ring.coefficient_on(triple, ring.fundamental_id)
 print("a1 * a2 * alpha0 hits the fundamental class with coefficient", coeff)
+# product_span_rank(ring, t) gives the rank of t-fold products in every degree
+print("ranks of two-fold products by degree:", product_span_rank(ring, 2))
 print("rank of three-fold products in the top degree:",
-      triple_product_rank(ring, 12))
+      product_span_rank(ring, 3).get(12, 0))
 
 # cochain-level products of every complementary pair are unimodular
 pairing = poincare_pairing_report(ring)

@@ -60,7 +60,6 @@ from .ring import (
     product_span_rank,
     ring_presentation,
     star_product,
-    triple_product_rank,
 )
 from .snf import invariant_factors, smith_normal_form
 
@@ -107,7 +106,6 @@ __all__ = [
     "smith_normal_form",
     "star_product",
     "taylor_bigraded",
-    "triple_product_rank",
     "truncated_simplex",
     "two_points",
     "verify_csp_model",

@@ -325,37 +325,28 @@ def ring_presentation(
     return presentation
 
 
-def triple_product_rank(presentation: RingPresentation, target_degree: int) -> int:
-    """Rank of the span of products of three or more distinct generators."""
-    return product_span_rank(presentation, 3, target_degree)
+def product_span_rank(presentation: RingPresentation, t: int) -> dict:
+    """Rank over Q of the span of products of >= t generators, by degree.
 
-
-def product_span_rank(presentation: RingPresentation, t: int, target_degree: int) -> int:
-    """Rank over Q of the span of products of >= t generators in a degree.
-
-    That span is the degree part of the t-th power of the ideal A+ of
-    positive-degree classes, so the rank is a ring invariant although single
-    products depend on the basis.  It is folded out of the stored structure
-    constants one (subset, degree) block at a time: level 1 is the identity
-    basis of every block, and level k multiplies each level k - 1 basis
-    vector by every generator whose products with the vector's block are
-    stored.  Products over overlapping supports vanish, so no generator
-    meets itself.  Each block's rows are cut down to a basis over Q.
+    That span is the t-th power of the ideal A+ of positive-degree classes,
+    so its rank in each degree is a ring invariant although single products
+    depend on the basis.  It is folded out of the stored structure constants
+    one (subset, degree) block at a time: level 1 is the identity basis of
+    every block, and level k multiplies each level k - 1 basis vector by
+    every generator whose products with the vector's block are stored.
+    Products over overlapping supports vanish, so no generator meets
+    itself.  Each block's rows are cut down to a basis over Q.  Returns
+    ``{p: rank}`` with the degrees of rank 0 left out.
     """
     generators = presentation.generators
     blocks = presentation._blocks
     by_right = {}  # right factor -> [(left factor, terms)]
     for (g, h), terms in presentation.products.items():
         by_right.setdefault(h, []).append((generators[g], terms))
-
-    def degree(key: tuple) -> int:
-        return key[0].bit_count() + key[1] + 1
-
-    level = {key: identity(len(ids)) for key, ids in blocks.items() if degree(key) <= target_degree}
+    level = {key: identity(len(ids)) for key, ids in blocks.items()}
     for _ in range(t - 1):
         rows = {}
         for (s, d), basis in level.items():
-            room = target_degree - degree((s, d))
             start = blocks[(s, d)].start
             for vec in basis:
                 sums = {}  # left factor -> its product with vec, {gid: coefficient}
@@ -363,10 +354,9 @@ def product_span_rank(presentation: RingPresentation, t: int, target_degree: int
                     if not c:
                         continue
                     for g, terms in by_right.get(start + i, ()):
-                        if g.total_degree <= room:
-                            acc = sums.setdefault(g.gid, {})
-                            for gid, coeff in terms:
-                                acc[gid] = acc.get(gid, 0) + c * coeff
+                        acc = sums.setdefault(g.gid, {})
+                        for gid, coeff in terms:
+                            acc[gid] = acc.get(gid, 0) + c * coeff
                 for left, acc in sums.items():
                     g = generators[left]
                     key = (g.subset | s, g.degree + d + 1)
@@ -383,7 +373,11 @@ def product_span_rank(presentation: RingPresentation, t: int, target_degree: int
                 snf = smith_normal_form(basis + block_rows[i : i + width])
                 basis = snf.v_inv[: snf.rank]
             level[key] = basis
-    return sum(len(basis) for key, basis in level.items() if degree(key) == target_degree)
+    ranks = {}
+    for (s, d), basis in level.items():
+        p = s.bit_count() + d + 1
+        ranks[p] = ranks.get(p, 0) + len(basis)
+    return dict(sorted(ranks.items()))
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from moment_angle import (
     SimplicialComplex,
     boundary_simplex,
+    construct_p28_8,
     cross_polytope,
     csp_obstructions,
     induced_cycles,
@@ -19,6 +20,7 @@ from moment_angle import (
     vertices_of,
     zk_betti,
 )
+from moment_angle import classify
 from moment_angle.classify import model_degree_contributions, model_product_rank
 from moment_angle.errors import (
     GrammarError,
@@ -26,6 +28,8 @@ from moment_angle.errors import (
     SphereDimBelow3,
     UnequalTotalDimension,
 )
+from moment_angle.reproduction import mcgavran_model
+from moment_angle.ring import product_span_rank
 
 TARGET = "3,3,6;5,7*8;6,6*8"
 
@@ -83,10 +87,12 @@ class TestModelBetti:
 
     def test_product_rank_counts(self):
         model = parse_model(TARGET)
-        assert model_product_rank(model, 2, 6) == 1  # the 3+3 sub-collection
-        assert model_product_rank(model, 2, 9) == 2  # two 3+6 sub-collections
-        assert model_product_rank(model, 2, 7) == 0
-        assert model_product_rank(model, 3, 9) == 0
+        assert model_product_rank(model, 2).get(6, 0) == 1  # the 3+3 sub-collection
+        assert model_product_rank(model, 2).get(9, 0) == 2  # two 3+6 sub-collections
+        assert model_product_rank(model, 2).get(7, 0) == 0
+        assert model_product_rank(model, 3).get(9, 0) == 0
+        assert model_product_rank(model, 2) == {6: 1, 9: 2}
+        assert model_product_rank(model, 3) == {}
 
 
 class TestVerifyModel:
@@ -105,6 +111,35 @@ class TestVerifyModel:
         result = verify_csp_model(p28, "5,7*9;6,6*9")
         assert not result.consistent
         assert ("betti", 3, 2, 0) in result.mismatches
+
+    def test_missing_triple_product_fails_the_rank_checks(self, p28):
+        # same Betti numbers as the target, but no summand with three factors
+        result = verify_csp_model(p28, "3,9*2;5,7*8;6,6*9")
+        assert result.additive_ok and result.pairing_ok
+        assert not result.product_rank_ok and not result.top_products_ok
+        assert result.mismatches == [
+            ("product-rank", 2, 6, 1, 0),
+            ("product-rank", 2, 9, 2, 0),
+            ("top-product", 3, "nonzero", 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "complex_, model, factor_counts",
+        [
+            pytest.param(construct_p28_8(), TARGET, [2, 3, 4], id="p28"),
+            pytest.param(polygon(8), mcgavran_model(2, 5), [2, 3], id="polygon8"),
+        ],
+    )
+    def test_one_span_rank_fold_per_factor_count(self, monkeypatch, complex_, model, factor_counts):
+        calls = []
+
+        def counted(presentation, t, *rest):
+            calls.append(t)
+            return product_span_rank(presentation, t, *rest)
+
+        monkeypatch.setattr(classify, "product_span_rank", counted)
+        assert verify_csp_model(complex_, model).consistent
+        assert calls == factor_counts
 
     def test_cross_polytopes_match_powers_of_three_spheres(self):
         for n in (2, 3, 4):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output determinism, JSON round trips."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -227,6 +228,15 @@ class TestGoldenOutputs:
         code, out, _ = run_cli(["paper", "--json"], capsys)
         assert code == 0
         assert out == (DATA / "p28_paper.json").read_text()
+
+    def test_failing_verify_json_is_golden(self, capsys):
+        # a model with the right Betti numbers but no triple product
+        argv = ["verify", str(DATA / "p28_8.cplx"), "--json", "--model", "3,9*2;5,7*8;6,6*9"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4a2c833c0a8f31c421905040eb38747aa2688a48dc84c4094c728db6841ba635"
+        )
 
 
 class TestSubprocess:

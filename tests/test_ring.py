@@ -20,7 +20,6 @@ from moment_angle import (
     random_complexes,
     ring_presentation,
     star_product,
-    triple_product_rank,
     truncated_simplex,
     two_points,
     verify_csp_model,
@@ -135,22 +134,30 @@ class TestP28Relations:
 
 class TestRanks:
     def test_triple_rank_p28(self, p28_ring):
-        assert triple_product_rank(p28_ring, 12) == 1
+        assert product_span_rank(p28_ring, 3).get(12, 0) == 1
 
     def test_triple_rank_quadrilateral(self):
         presentation = ring_presentation(polygon(4))
-        assert triple_product_rank(presentation, 6) == 0
+        assert product_span_rank(presentation, 3).get(6, 0) == 0
 
     def test_triple_rank_octahedron(self):
         presentation = ring_presentation(cross_polytope(2))
-        assert triple_product_rank(presentation, 9) == 1
+        assert product_span_rank(presentation, 3).get(9, 0) == 1
 
     def test_pair_rank_interior_degrees(self, p28_ring):
-        assert product_span_rank(p28_ring, 2, 6) == 1
-        assert product_span_rank(p28_ring, 2, 9) == 2
-        assert product_span_rank(p28_ring, 2, 7) == 0
-        assert product_span_rank(p28_ring, 2, 12) == 1
-        assert product_span_rank(p28_ring, 4, 12) == 0
+        assert product_span_rank(p28_ring, 2).get(6, 0) == 1
+        assert product_span_rank(p28_ring, 2).get(9, 0) == 2
+        assert product_span_rank(p28_ring, 2).get(7, 0) == 0
+        assert product_span_rank(p28_ring, 2).get(12, 0) == 1
+        assert product_span_rank(p28_ring, 4).get(12, 0) == 0
+
+    def test_every_degree_in_one_table(self, p28_ring):
+        # degrees of rank 0 are left out; t = 1 is the free Betti table
+        betti = {p: g.rank for p, g in p28_ring.table.total().items() if p}
+        assert product_span_rank(p28_ring, 1) == betti
+        assert product_span_rank(p28_ring, 2) == {6: 1, 9: 2, 12: 1}
+        assert product_span_rank(p28_ring, 3) == {12: 1}
+        assert product_span_rank(p28_ring, 4) == {}
 
 
 def span_ranks_by_tuples(presentation, max_t):
@@ -225,7 +232,7 @@ class TestSpanRankOracle:
         presentation = ring_presentation(complex_)
         expected = span_ranks_by_tuples(presentation, 4)
         got = {
-            t: {p: product_span_rank(presentation, t, p) for p in ranks}
+            t: {p: product_span_rank(presentation, t).get(p, 0) for p in ranks}
             for t, ranks in expected.items()
         }
         assert got == expected
