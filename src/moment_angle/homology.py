@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
 from .errors import NotACocycle, NotPure
-from .snf import identity, invariant_factors_sparse, matmul, matvec, smith_normal_form
+from .snf import identity, invariant_factors_sparse, matmul, smith_normal_form
 
 
 class Abelian(NamedTuple):
@@ -384,7 +384,15 @@ class Expression(NamedTuple):
 
 
 class _DegreeBasis:
-    """Cocycle representatives and coordinates for one cochain degree."""
+    """Cocycle representatives and coordinates for one cochain degree.
+
+    Each coordinate of a class is one integer row applied to its cocycle:
+    row ``idx`` of ``u_c`` (the quotient of the kernel by the coboundaries)
+    composed with the kernel rows of ``v^-1`` (the cocycles in kernel
+    coordinates), with the representative's sign folded into a free row.
+    The rows are built once here, so :meth:`express` takes one dot product
+    per coordinate over the cochain's nonzero entries.
+    """
 
     def __init__(self, cc: ChainComplexZ, d: int):
         self.faces = cc.faces.get(d, [])
@@ -400,13 +408,13 @@ class _DegreeBasis:
             rank_out = 0
             v = identity(n)
             v_inv = identity(n)
-        self._v_inv = v_inv
-        self.kernel_indices = list(range(rank_out, n))
-        k = len(self.kernel_indices)
+        kernel_indices = range(rank_out, n)
+        k = len(kernel_indices)
+        kernel_rows = [v_inv[i] for i in kernel_indices]
         # coboundary images of (d-1)-cochains, written in kernel coordinates
         delta_in = cc.coboundary_matrix(d - 1)
         n_down = cc.n_faces(d - 1)
-        coords = matmul([v_inv[i] for i in self.kernel_indices], delta_in)
+        coords = matmul(kernel_rows, delta_in)
         if k and n_down:
             quo = smith_normal_form(coords, rows=k, cols=n_down)
             diag = [quo.d[i][i] for i in range(min(k, n_down))]
@@ -415,16 +423,15 @@ class _DegreeBasis:
             diag = []
             u_c = identity(k)
             u_c_inv = identity(k)
-        self._u_c = u_c
         diag = list(diag) + [0] * (k - len(diag))
-        self.free_indices = [i for i, s in enumerate(diag) if s == 0]
-        self.torsion_orders = [(i, s) for i, s in enumerate(diag) if s > 1]
-        self.group = Abelian(len(self.free_indices), tuple(s for _, s in self.torsion_orders))
+        free_indices = [i for i, s in enumerate(diag) if s == 0]
+        torsion_orders = [(i, s) for i, s in enumerate(diag) if s > 1]
+        self.group = Abelian(len(free_indices), tuple(s for _, s in torsion_orders))
         # representatives: kernel basis combined through columns of u_c^-1
         self.representatives = []
-        self.signs = []
-        kernel_basis = [[row[c] for row in v] for c in self.kernel_indices]
-        weights = [[row[idx] for row in u_c_inv] for idx in self.free_indices]
+        signs = []
+        kernel_basis = [[row[c] for row in v] for c in kernel_indices]
+        weights = [[row[idx] for row in u_c_inv] for idx in free_indices]
         for vec in matmul(weights, kernel_basis):
             sign = 1
             for x in vec:
@@ -432,18 +439,21 @@ class _DegreeBasis:
                     sign = 1 if x > 0 else -1
                     break
             self.representatives.append([sign * x for x in vec])
-            self.signs.append(sign)
+            signs.append(sign)
+        self._free_rows = [
+            [sign * x for x in row]
+            for sign, row in zip(signs, matmul([u_c[idx] for idx in free_indices], kernel_rows))
+        ]
+        torsion_rows = matmul([u_c[idx] for idx, _ in torsion_orders], kernel_rows)
+        self._torsion_rows = [(row, s) for row, (_, s) in zip(torsion_rows, torsion_orders)]
 
-    def express(self, vec: list) -> Expression:
-        if len(vec) != self.n:
-            raise NotACocycle(f"cochain has length {len(vec)}, expected {self.n}")
-        if any(matvec(self.delta_out, vec)):
-            raise NotACocycle("coboundary of the cochain is nonzero")
-        y = matvec(self._v_inv, vec)
-        w = [y[i] for i in self.kernel_indices]
-        z = matvec(self._u_c, w)
-        free = tuple(self.signs[pos] * z[idx] for pos, idx in enumerate(self.free_indices))
-        torsion = tuple(z[idx] % s for idx, s in self.torsion_orders)
+    def express(self, support: list) -> Expression:
+        """Coordinates of a cocycle given as its nonzero ``(index, coefficient)`` entries."""
+        for row in self.delta_out:
+            if sum(row[k] * x for k, x in support):
+                raise NotACocycle("coboundary of the cochain is nonzero")
+        free = tuple(sum(row[k] * x for k, x in support) for row in self._free_rows)
+        torsion = tuple(sum(row[k] * x for k, x in support) % s for row, s in self._torsion_rows)
         return Expression(free=free, torsion=torsion)
 
 
@@ -485,11 +495,15 @@ class CohomologyBasis:
         return list(self.cc.faces.get(d, []))
 
     def express(self, vec: list, d: int) -> Expression:
+        """Coordinates of the cocycle ``vec``, dense over the degree-d faces."""
         if d < -1 or d > self.cc.top:
             if any(vec):
                 raise NotACocycle(f"no faces in degree {d}")
             return Expression((), ())
-        return self.degree(d).express(vec)
+        basis = self.degree(d)
+        if len(vec) != basis.n:
+            raise NotACocycle(f"cochain has length {len(vec)}, expected {basis.n}")
+        return basis.express([(k, x) for k, x in enumerate(vec) if x])
 
 
 def reduced_cohomology_basis(complex_: SimplicialComplex) -> CohomologyBasis:

@@ -153,14 +153,16 @@ class _BlockContext:
         self.basis = CohomologyBasis(self.cc)
 
     def express(self, cls: HochsterClass) -> Expression:
-        faces = self.cc.faces.get(cls.degree, [])
-        vec = [cls.cochain.get(f, 0) for f in faces]
-        extra = set(cls.cochain) - set(faces)
+        index = self.cc.index.get(cls.degree, {})
+        extra = [f for f in cls.cochain if f not in index]
         if extra:
             raise DegreeMismatch(
                 f"cochain supported outside the subcomplex: {sorted(map(vertices_of, extra))}"
             )
-        return self.basis.express(vec, cls.degree)
+        if not index:  # no faces in this degree, so no coordinates either
+            return Expression((), ())
+        support = [(index[f], c) for f, c in cls.cochain.items()]
+        return self.basis.degree(cls.degree).express(support)
 
     def classes(self, degree: int) -> list:
         faces = self.cc.faces.get(degree, [])
@@ -179,9 +181,10 @@ class RingPresentation:
     degree (the unit class is left implicit); the generators of one block
     have consecutive ids.  ``products`` is sparse: it holds only the pairs
     ``(g, h)`` whose product is nonzero, mapped to the (generator id,
-    coefficient) pairs expressing the product of the free representatives.
-    Read products through ``product()``, which gives ``()`` for every other
-    pair.  Torsion blocks are excluded with a warning.
+    coefficient) pairs expressing the product of the free representatives,
+    and it is kept in ascending ``(g, h)`` order.  Read products through
+    ``product()``, which gives ``()`` for every other pair.  Torsion blocks
+    are excluded with a warning.
     """
 
     complex: SimplicialComplex
@@ -305,23 +308,44 @@ def ring_presentation(
     top = presentation._blocks.get((full, complex_.dim()))
     if top and table.group(full, complex_.dim()) == Abelian(1, ()):
         presentation.fundamental_id = top.start
-    # Products of the blocks over I and J land in the block over I | J and
-    # vanish unless I and J are disjoint; a target block without free
-    # generators has no coordinates, so only disjoint pairs with a free
-    # target are multiplied (Baskakov's rule).
+    # Baskakov's rule: the blocks over I and J multiply into the block over
+    # I | J, and only when I and J are disjoint.  A target block without
+    # free generators has no coordinates, so the pairs are found from the
+    # free targets: for a target (T, d), every nonempty proper submask s1
+    # of T with a block (s1, d1) pairs with the block (T ^ s1, d - d1 - 1),
+    # if there is one.  Targets come in block order, not in (g, h) order,
+    # so the products are sorted once at the end.
     blocks = presentation._blocks
-    for (s1, d1), gids1 in blocks.items():
-        for (s2, d2), gids2 in blocks.items():
-            if s1 & s2 or (s1 | s2, d1 + d2 + 1) not in blocks:
+    by_subset = {}  # subset -> {degree: gid range}
+    for (subset, d), gids in blocks.items():
+        by_subset.setdefault(subset, {})[d] = gids
+    # A product sits at least one degree above twice the lowest block degree.
+    low = min((d for _, d in blocks), default=0)
+    products = presentation.products
+    for target, target_degrees in by_subset.items():
+        if max(target_degrees) <= 2 * low:
+            continue
+        s1 = (target - 1) & target
+        while s1:
+            left = by_subset.get(s1)
+            right = left and by_subset.get(target ^ s1)
+            s1 = (s1 - 1) & target
+            if not right:
                 continue
-            for g in generators[gids1.start : gids1.stop]:
-                for h in generators[gids2.start : gids2.stop]:
-                    prod = star_product(g.cls, h.cls, complex_)
-                    if prod.is_zero:
+            for d1, gids1 in left.items():
+                for d in target_degrees:
+                    gids2 = right.get(d - d1 - 1)
+                    if gids2 is None:
                         continue
-                    terms = tuple(presentation.express_class(prod))
-                    if terms:
-                        presentation.products[(g.gid, h.gid)] = terms
+                    for g in generators[gids1.start : gids1.stop]:
+                        for h in generators[gids2.start : gids2.stop]:
+                            prod = star_product(g.cls, h.cls, complex_)
+                            if prod.is_zero:
+                                continue
+                            terms = tuple(presentation.express_class(prod))
+                            if terms:
+                                products[(g.gid, h.gid)] = terms
+    presentation.products = dict(sorted(products.items()))
     return presentation
 
 

@@ -61,10 +61,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def matvec(a: Matrix, x: list) -> list:
-    return [sum(v * x[k] for k, v in enumerate(row) if v) for row in a]
-
-
 @dataclass
 class SNFResult:
     """U @ M @ V == D with U, V unimodular and D a divisor chain diagonal."""

@@ -1,6 +1,8 @@
 """Reduced (co)homology, cocycle bases, and the sphere candidate checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle import (
     EMPTY,
@@ -8,6 +10,7 @@ from moment_angle import (
     ChainComplexZ,
     SimplicialComplex,
     boundary_simplex,
+    construct_p28_8,
     cross_polytope,
     mask_of,
     polygon,
@@ -21,7 +24,7 @@ from moment_angle import (
 )
 from moment_angle import homology
 from moment_angle.errors import NotACocycle, NotPure
-from moment_angle.homology import merge_torsion
+from moment_angle.homology import CohomologyBasis, merge_torsion
 from moment_angle.resolutions import koszul_pieces, taylor_strata
 from moment_angle.snf import invariant_factors_sparse
 
@@ -40,6 +43,8 @@ RP2 = SimplicialComplex(
     [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
      (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)],
 )
+
+P28 = construct_p28_8()
 
 TWO_SPHERES = SimplicialComplex(
     8,
@@ -342,6 +347,97 @@ class TestCohomologyBasis:
         assert expr_c.free == expr_s.free and expr_c.torsion == (1,)
         doubled = [2 * a for a in projective]
         assert basis.express(doubled, 2).is_zero
+
+
+@st.composite
+def subcomplex_bases(draw):
+    """The cocycle basis of a full subcomplex of p28 or RP^2, often the whole."""
+    complex_ = draw(st.sampled_from([P28, RP2]))
+    full = (1 << complex_.m) - 1
+    subset = draw(st.integers(1, full) | st.just(full))
+    return CohomologyBasis(ChainComplexZ.of_subset(complex_, subset))
+
+
+def integers(data, n):
+    return data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+
+
+def drawn_cocycle(data, basis, d):
+    """A cocycle with the coordinates ``express`` must give it.
+
+    It is an integer combination of the free representatives plus a
+    coboundary and, in the top degree (where every cochain is a cocycle), a
+    multiple of the first face's dual, whose coordinates are read once and
+    scaled: free ones exactly, torsion ones modulo the orders.
+    """
+    cc = basis.cc
+    n = cc.n_faces(d)
+    reps = basis.representatives(d)
+    coeffs = integers(data, len(reps))
+    vec = [sum(c * rep[k] for c, rep in zip(coeffs, reps)) for k in range(n)]
+    lower = integers(data, cc.n_faces(d - 1))
+    for k, row in enumerate(cc.coboundary_matrix(d - 1)):
+        vec[k] += sum(a * b for a, b in zip(row, lower))
+    orders = basis.group(d).torsion
+    free, torsion = coeffs, [0] * len(orders)
+    if d == cc.top:
+        dual = [1] + [0] * (n - 1)
+        expr = basis.express(dual, d)
+        scale = data.draw(st.integers(-4, 4))
+        vec = [x + scale * y for x, y in zip(vec, dual)]
+        free = [c + scale * f for c, f in zip(coeffs, expr.free)]
+        torsion = [scale * t for t in expr.torsion]
+    return vec, tuple(free), tuple(t % s for t, s in zip(torsion, orders))
+
+
+class TestExpressProperty:
+    """``express`` inverts the basis exactly on random cocycles."""
+
+    @given(subcomplex_bases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_combination_plus_coboundary(self, basis, data):
+        d = data.draw(st.integers(basis.cc.bottom, basis.cc.top))
+        vec, free, torsion = drawn_cocycle(data, basis, d)
+        assert basis.express(vec, d) == (free, torsion)
+
+    @pytest.mark.parametrize("complex_", [P28, RP2], ids=["p28", "rp2"])
+    def test_representatives_express_as_unit_vectors(self, complex_):
+        # every full subcomplex: some representatives were negated to make
+        # their first entry positive, and their coordinate must say +1
+        for subset in range(1, 1 << complex_.m):
+            basis = CohomologyBasis(ChainComplexZ.of_subset(complex_, subset))
+            for d in range(basis.cc.bottom, basis.cc.top + 1):
+                reps = basis.representatives(d)
+                for i, rep in enumerate(reps):
+                    unit = tuple(int(j == i) for j in range(len(reps)))
+                    assert basis.express(rep, d).free == unit
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_torsion_residue_is_the_coefficient_sum(self, data):
+        # H^2(RP^2) = Z/2 is detected by the mod-2 fundamental cycle
+        basis = CohomologyBasis.of_complex(RP2)
+        vec = integers(data, basis.cc.n_faces(2))
+        assert basis.express(vec, 2) == ((), (sum(vec) % 2,))
+
+    @given(subcomplex_bases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_adding_a_non_cocycle_raises(self, basis, data):
+        # below the top degree some face has a coface, so its dual has a
+        # nonzero coboundary
+        cc = basis.cc
+        d = data.draw(st.integers(cc.bottom, cc.top - 1))
+        delta = cc.coboundary_matrix(d)
+        k = data.draw(st.sampled_from([k for k in range(cc.n_faces(d)) if any(row[k] for row in delta)]))
+        c = data.draw(st.integers(1, 4) | st.integers(-4, -1))
+        single = [0] * cc.n_faces(d)
+        single[k] = c
+        with pytest.raises(NotACocycle):
+            basis.express(single, d)
+        vec, _, _ = drawn_cocycle(data, basis, d)
+        vec[k] += c
+        with pytest.raises(NotACocycle):
+            basis.express(vec, d)
 
 
 class TestSphereCheck:

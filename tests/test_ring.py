@@ -302,7 +302,13 @@ class TestPairing:
     def test_dropped_top_term_fails_both_checks(self, p28_ring):
         fid = p28_ring.fundamental_id
         products = dict(p28_ring.products)
-        pair = next(pair for pair, terms in products.items() if fid in dict(terms))
+        # the dense oracle reads only rows of degree <= top // 2
+        top = p28_ring.complex.m + p28_ring.complex.dim() + 1
+        pair = min(
+            pair
+            for pair, terms in products.items()
+            if fid in dict(terms) and p28_ring.generators[pair[0]].total_degree <= top // 2
+        )
         products[pair] = tuple((gid, c) for gid, c in products[pair] if gid != fid)
         mutated = dataclasses.replace(p28_ring, products=products)
         report = poincare_pairing_report(mutated)
@@ -360,6 +366,46 @@ ORACLE_INPUTS = [
     pytest.param(truncated_simplex(3, 6), id="truncated_simplex(3,6)"),
     *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
 ]
+
+
+def all_block_pairs(presentation):
+    """Oracle: the generator pairs of every two disjoint blocks with a free target."""
+    blocks = presentation._blocks
+    pairs = []
+    for (s1, d1), gids1 in blocks.items():
+        for (s2, d2), gids2 in blocks.items():
+            if not s1 & s2 and (s1 | s2, d1 + d2 + 1) in blocks:
+                pairs.extend((g, h) for g in gids1 for h in gids2)
+    return sorted(pairs)
+
+
+PAIR_SET_INPUTS = [
+    *(pytest.param(polygon(m), id=f"polygon{m}") for m in range(4, 12)),
+    pytest.param(construct_p28_8(), id="p28"),
+    *(pytest.param(truncated_simplex(3, k), id=f"truncated_simplex(3,{k})") for k in range(6, 9)),
+    pytest.param(RP2, id="rp2"),
+    *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
+]
+
+
+class TestTargetWalk:
+    """Splitting each target block finds the pairs of the all-pairs scan."""
+
+    @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+    @pytest.mark.parametrize("complex_", PAIR_SET_INPUTS)
+    def test_walk_multiplies_the_pairs_of_the_all_pairs_scan(self, complex_, monkeypatch):
+        factors = []
+
+        def recording(c1, c2, complex_):
+            factors.append((c1, c2))
+            return star_product(c1, c2, complex_)
+
+        monkeypatch.setattr(ring, "star_product", recording)
+        presentation = ring_presentation(complex_)
+        gid_of = {id(g.cls): g.gid for g in presentation.generators}
+        walked = sorted((gid_of[id(c1)], gid_of[id(c2)]) for c1, c2 in factors)
+        assert walked == all_block_pairs(presentation)
+        assert list(presentation.products) == sorted(presentation.products)
 
 
 class TestBlockProducts:
