@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 from test_homology import RP2
 
 from moment_angle import (
+    ChainComplexZ,
+    CohomologyBasis,
     HochsterClass,
     SimplicialComplex,
     construct_p28_8,
@@ -18,6 +21,7 @@ from moment_angle import (
     polygon,
     product_span_rank,
     random_complexes,
+    bigraded_betti,
     ring_presentation,
     star_product,
     truncated_simplex,
@@ -25,8 +29,8 @@ from moment_angle import (
     verify_csp_model,
     vertices_of,
 )
-from moment_angle import ring
-from moment_angle.errors import DegreeMismatch
+from moment_angle import homology, ring
+from moment_angle.errors import DegreeMismatch, NotACocycle
 from moment_angle.reproduction import mcgavran_model
 from moment_angle.ring import ring_json_obj
 from moment_angle.snf import invariant_factors, is_unimodular_square
@@ -433,3 +437,97 @@ class TestBlockProducts:
         presentation = ring_presentation(polygon(4))
         with pytest.raises(KeyError):
             presentation.product(0, len(presentation.generators))
+
+
+SHARED_INPUTS = [
+    pytest.param(polygon(9), id="polygon9"),
+    pytest.param(construct_p28_8(), id="p28"),
+    pytest.param(truncated_simplex(3, 7), id="truncated_simplex(3,7)"),
+    pytest.param(RP2, id="rp2"),
+    *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
+]
+
+
+def outcome(basis, support):
+    try:
+        return basis.express(support)
+    except NotACocycle:
+        return NotACocycle
+
+
+class TestSharedBases:
+    """Degree bases shared through a presentation's memo equal fresh ones."""
+
+    @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+    @pytest.mark.parametrize("complex_", SHARED_INPUTS)
+    def test_every_shared_degree_matches_a_fresh_basis(self, complex_):
+        presentation = ring_presentation(complex_)
+        # torsion blocks have no generators; give them contexts too, so the
+        # torsion rows are compared
+        for (subset, _), group in presentation.table.entries.items():
+            if group.torsion:
+                presentation.context(subset)
+        torsion_seen = False
+        for subset, ctx in list(presentation._contexts.items()):
+            fresh = CohomologyBasis(ChainComplexZ.of_subset(complex_, subset))
+            for d in range(-1, ctx.cc.top + 1):
+                shared, alone = ctx.basis.degree(d), fresh.degree(d)
+                assert vars(shared) == vars(alone), (vertices_of(subset), d)
+                torsion_seen |= bool(shared._torsion_rows)
+                rng = random.Random(subset * 64 + d)
+                coboundary = ctx.cc.coboundary_matrix(d - 1)
+                for _ in range(3):
+                    vec = [0] * shared.n
+                    for rep in shared.representatives:
+                        c = rng.randint(-3, 3)
+                        vec = [x + c * r for x, r in zip(vec, rep)]
+                    lower = [rng.randint(-2, 2) for _ in range(ctx.cc.n_faces(d - 1))]
+                    vec = [x + sum(a * b for a, b in zip(row, lower)) for x, row in zip(vec, coboundary)]
+                    cocycle = [(k, x) for k, x in enumerate(vec) if x]
+                    assert shared.express(cocycle) == alone.express(cocycle)
+                    noise = [(k, rng.randint(-2, 2)) for k in range(shared.n)]
+                    assert outcome(shared, noise) == outcome(alone, noise)
+        assert torsion_seen == any(g.torsion for g in presentation.table.entries.values())
+
+    def test_tracked_smith_forms_run_once_per_key(self, monkeypatch):
+        complex_ = polygon(9)
+        table = bigraded_betti(complex_)
+        calls = []
+        original = homology.smith_normal_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        first = ring_presentation(complex_, table=table)
+        bases = sum(len(ctx.basis._degrees) for ctx in first._contexts.values())
+        assert (bases, len(first._bases)) == (439, 98)
+        assert len(calls) <= 2 * len(first._bases)
+        # a second presentation starts from an empty memo
+        counted = len(calls)
+        calls.clear()
+        second = ring_presentation(complex_, table=table)
+        assert len(calls) == counted
+        assert second._bases is not first._bases
+
+    def test_mutating_one_block_leaves_its_twin(self):
+        presentation = ring_presentation(polygon(9))
+        holders = {}  # shared representatives -> the blocks holding them
+        for ctx in presentation._contexts.values():
+            for d, basis in ctx.basis._degrees.items():
+                assert isinstance(basis.representatives, tuple)
+                assert all(isinstance(rep, tuple) for rep in basis.representatives)
+                if basis.representatives:
+                    holders.setdefault(id(basis.representatives), []).append((ctx, d))
+        (a, d), (b, _) = next(blocks for blocks in holders.values() if len(blocks) > 1)[:2]
+        assert a.subset != b.subset
+        reps, classes = b.basis.representatives(d), b.classes(d)
+        own_reps, own_classes = a.basis.representatives(d), a.classes(d)
+        a.basis.representatives(d)[0][0] += 7
+        a.classes(d)[0].cochain.clear()
+        own_reps[0][:] = [0] * len(own_reps[0])
+        own_classes[0].cochain.clear()
+        assert b.basis.representatives(d) == reps
+        assert b.classes(d) == classes
+        assert a.basis.representatives(d) == reps
