@@ -39,6 +39,16 @@ def _as_mask(face) -> int:
     return mask_of(face)
 
 
+def _relabeled(face: int, mask: int) -> int:
+    """``face``, a subset of ``mask``, with each vertex moved to its rank in ``mask``."""
+    new = 0
+    while face:
+        low = face & -face
+        new |= 1 << (mask & (low - 1)).bit_count()
+        face ^= low
+    return new
+
+
 def _antichain(masks: Iterable[int]) -> tuple:
     """Drop faces contained in another face; sort the survivors."""
     by_size = sorted(set(masks), key=lambda f: f.bit_count(), reverse=True)
@@ -227,20 +237,27 @@ class SimplicialComplex:
         if mask & ~full:
             raise VertexOutOfRange(f"subset {vertices_of(mask)} not within 1..{self.m}")
         parents = vertices_of(mask)
-        position = {v: i for i, v in enumerate(parents)}
         kept = [f for f in self.face_set() if is_subset(f, mask)]
-        relabeled = []
-        for f in _antichain(f for f in kept if f):
-            new = 0
-            for v in iter_vertices(f):
-                new |= 1 << position[v]
-            relabeled.append(new)
         return SimplicialComplex(
             len(parents),
-            relabeled,
+            [_relabeled(f, mask) for f in _antichain(f for f in kept if f)],
             allow_ghosts=True,
             parent_vertices=parents,
         )
+
+    def subset_shape(self, subset) -> tuple:
+        """The full subcomplex on ``subset`` up to its order-preserving relabeling.
+
+        ``(|J|, missing faces of K inside J relabeled 1..|J|)``.  The faces
+        of K_J are the subsets of J containing no missing face of K, so two
+        subsets get equal shapes exactly when :meth:`full_subcomplex` gives
+        equal complexes.  The relabeling keeps the card-lex order of
+        :meth:`missing_faces`, so the shape is canonical.
+        """
+        mask = _as_mask(subset)
+        outside = ~mask
+        inside = [_relabeled(f, mask) for f in self.missing_faces() if not f & outside]
+        return (mask.bit_count(), tuple(inside))
 
     def subset_faces_by_dim(self, subset) -> dict:
         """Faces of the full subcomplex in *parent* labels, grouped by dim."""
@@ -481,20 +498,20 @@ def read_cplx(text: str) -> SimplicialComplex:
     return SimplicialComplex(m, facets)
 
 
+_BUILDERS = {
+    "p28-8": (construct_p28_8, 0),
+    "polygon": (polygon, 1),
+    "simplex-boundary": (boundary_simplex, 1),
+    "cross-polytope": (cross_polytope, 1),
+    "truncated-simplex": (truncated_simplex, 2),
+}
+
+
 def builtin_complex(name: str, params: tuple = ()) -> SimplicialComplex:
     """Named builders used by the command line: p28-8, polygon m, etc."""
-    if name == "p28-8":
-        return construct_p28_8()
-    if name == "polygon":
-        (m,) = params
-        return polygon(m)
-    if name == "simplex-boundary":
-        (k,) = params
-        return boundary_simplex(k)
-    if name == "cross-polytope":
-        (n,) = params
-        return cross_polytope(n)
-    if name == "truncated-simplex":
-        k, l = params
-        return truncated_simplex(k, l)
-    raise ParameterOutOfRange(f"unknown builtin complex {name!r}")
+    if name not in _BUILDERS:
+        raise ParameterOutOfRange(f"unknown builtin complex {name!r}")
+    builder, count = _BUILDERS[name]
+    if len(params) != count:
+        raise ParameterOutOfRange(f"{name} takes {count} parameter(s), got {len(params)}")
+    return builder(*params)

@@ -89,15 +89,6 @@ def sum_groups(pairs) -> dict:
     return {key: Abelian(ranks[key], merge_torsion(torsion[key])) for key in sorted(ranks)}
 
 
-def _transposed(entries: dict, rows: int, cols: int) -> list:
-    """Dense ``rows x cols`` transpose of a ``{row: {col: value}}`` matrix."""
-    mat = [[0] * cols for _ in range(rows)]
-    for i, row in entries.items():
-        for j, v in row.items():
-            mat[j][i] = v
-    return mat
-
-
 class ChainComplexZ:
     """A based free chain complex over the integers, with its homology.
 
@@ -171,7 +162,11 @@ class ChainComplexZ:
 
     def coboundary_matrix(self, d: int) -> list:
         """Matrix of delta: C^d -> C^{d+1}, the transpose of boundary(d+1)."""
-        return _transposed(self.boundary_entries(d + 1), self.n_faces(d + 1), self.n_faces(d))
+        mat = [[0] * self.n_faces(d) for _ in range(self.n_faces(d + 1))]
+        for i, row in self.boundary_entries(d + 1).items():
+            for j, v in row.items():
+                mat[j][i] = v
+        return mat
 
     def boundary_factor_table(self) -> dict:
         """Invariant factors of every boundary map, degree bottom .. top + 1."""
@@ -396,30 +391,15 @@ class _DegreeBasis:
     The rows are built once here, so :meth:`express` takes one dot product
     per coordinate over the cochain's nonzero entries.
 
-    Everything here is read from local face indices: the sizes of degrees
-    d - 1, d and d + 1 and the boundary entries into and out of degree d.
-    Given a ``shared`` dict, that data is the key, and a degree whose key is
-    already there takes ``group``, ``representatives``, the coordinate rows
-    and ``delta_out`` from the basis stored under it instead of running two
-    tracked Smith forms.  Sharing is exact: the Smith form is deterministic,
-    so equal matrices give the same transforms, and the result names no
-    face.  Full subcomplexes of the same shape list their faces in the same
-    order, so they meet the same key.  Every shared value is a tuple.
+    Everything here is read from local face indices, so it names no face,
+    and every value is a tuple: one basis may serve several complexes that
+    list their faces alike (see :class:`CohomologyBasis`).
     """
 
-    def __init__(self, cc: ChainComplexZ, d: int, shared: dict | None = None):
-        up = cc.boundary_entries(d + 1)  # its transpose is the coboundary out of d
-        down = cc.boundary_entries(d)  # its transpose is the coboundary into d
+    def __init__(self, cc: ChainComplexZ, d: int):
         n, n_up, n_down = cc.n_faces(d), cc.n_faces(d + 1), cc.n_faces(d - 1)
-        key = None
-        if shared is not None:
-            key = (n, n_up, n_down, _frozen(up), _frozen(down))
-            hit = shared.get(key)
-            if hit is not None:
-                vars(self).update(vars(hit))
-                return
         self.n = n
-        self.delta_out = tuple(map(tuple, _transposed(up, n_up, n)))
+        self.delta_out = tuple(map(tuple, cc.coboundary_matrix(d)))
         if n_up and n:
             out_snf = smith_normal_form(self.delta_out, rows=n_up, cols=n)
             rank_out = out_snf.rank
@@ -432,7 +412,7 @@ class _DegreeBasis:
         k = len(kernel_indices)
         kernel_rows = [v_inv[i] for i in kernel_indices]
         # coboundary images of (d-1)-cochains, written in kernel coordinates
-        coords = matmul(kernel_rows, _transposed(down, n, n_down))
+        coords = matmul(kernel_rows, cc.coboundary_matrix(d - 1))
         if k and n_down:
             quo = smith_normal_form(coords, rows=k, cols=n_down)
             diag = [quo.d[i][i] for i in range(min(k, n_down))]
@@ -467,8 +447,6 @@ class _DegreeBasis:
         self._torsion_rows = tuple(
             (tuple(row), s) for row, (_, s) in zip(torsion_rows, torsion_orders)
         )
-        if key is not None:
-            shared[key] = self
 
     def express(self, support: list) -> Expression:
         """Coordinates of a cocycle given as its nonzero ``(index, coefficient)`` entries."""
@@ -480,11 +458,6 @@ class _DegreeBasis:
         return Expression(free=free, torsion=torsion)
 
 
-def _frozen(entries: dict) -> tuple:
-    """A ``{row: {col: value}}`` matrix as a hashable tuple, in its own order."""
-    return tuple((row, tuple(cols.items())) for row, cols in entries.items())
-
-
 class CohomologyBasis:
     """Explicit integer cocycle bases for every degree of a chain complex.
 
@@ -493,15 +466,16 @@ class CohomologyBasis:
     making golden tests deterministic.  ``express`` writes any cocycle in
     the chosen basis, with torsion residues reported separately.
 
-    ``_shared`` is a dict of degree bases keyed by their local boundary
-    matrices (see :class:`_DegreeBasis`).  Bases of several complexes given
-    the same dict compute each distinct key once; the results equal those
-    of an unshared basis.  Alone, ``CohomologyBasis(cc)`` shares nothing.
+    Cochains and representatives are read by local face index, not by face,
+    so the basis also serves any complex whose faces, listed degree by
+    degree, have the same boundary entries; :class:`.ring.RingPresentation`
+    shares one between full subcomplexes of the same shape.  The Smith form
+    is deterministic, so a shared basis is the one a fresh computation
+    would give.
     """
 
-    def __init__(self, cc: ChainComplexZ, _shared: dict | None = None):
+    def __init__(self, cc: ChainComplexZ):
         self.cc = cc
-        self._shared = _shared
         self._degrees: dict[int, _DegreeBasis] = {}
 
     @classmethod
@@ -511,7 +485,7 @@ class CohomologyBasis:
     def degree(self, d: int) -> _DegreeBasis:
         basis = self._degrees.get(d)
         if basis is None:
-            basis = _DegreeBasis(self.cc, d, self._shared)
+            basis = _DegreeBasis(self.cc, d)
             self._degrees[d] = basis
         return basis
 

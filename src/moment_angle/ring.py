@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .bitsets import is_subset, lex_key, mask_of, shuffle_sign, vertices_of
 from .complexes import SimplicialComplex
@@ -147,14 +148,19 @@ class RingGenerator:
 class _BlockContext:
     """Cohomology basis of one full subcomplex, faces in parent labels.
 
-    ``shared`` is the presentation's memo of degree bases (see
-    :class:`RingPresentation`).
+    ``cc`` lists this block's own faces; ``basis`` is the one its
+    presentation keeps for the block's shape (see :class:`RingPresentation`)
+    and is read through ``cc``'s local face indices.
     """
 
-    def __init__(self, complex_: SimplicialComplex, subset: int, shared: dict):
+    def __init__(self, complex_: SimplicialComplex, subset: int, bases: dict):
         self.subset = subset
         self.cc = ChainComplexZ.of_subset(complex_, subset)
-        self.basis = CohomologyBasis(self.cc, _shared=shared)
+        shape = complex_.subset_shape(subset)
+        basis = bases.get(shape)
+        if basis is None:
+            basis = bases[shape] = CohomologyBasis(self.cc)
+        self.basis = basis
 
     def express(self, cls: HochsterClass) -> Expression:
         index = self.cc.index.get(cls.degree, {})
@@ -190,13 +196,13 @@ class RingPresentation:
     ``product()``, which gives ``()`` for every other pair.  Torsion blocks
     are excluded with a warning.
 
-    The block contexts share one memo of degree bases, ``_bases``, keyed by
-    the local boundary matrices into and out of the degree.  Faces are
-    listed in lex order of parent labels, so full subcomplexes of the same
-    shape meet the same key, and each distinct key runs its tracked Smith
-    forms once (98 keys for the 439 degree bases of polygon 9).  The Smith
-    form is deterministic, so a shared basis is the one a fresh computation
-    would give.  The memo lives and dies with the presentation; nothing
+    Blocks whose full subcomplexes have the same shape
+    (:meth:`.SimplicialComplex.subset_shape`) share one
+    :class:`.CohomologyBasis`, kept in ``_bases``.  Faces are listed in lex
+    order of parent labels and the relabeling to 1..|J| keeps that order,
+    so twins have the same local boundary matrices, and each shape runs its
+    tracked Smith forms once per degree (98 shapes for the 439 blocks of
+    polygon 9).  The memo lives and dies with the presentation; nothing
     carries over to another one.
     """
 
@@ -207,7 +213,7 @@ class RingPresentation:
     fundamental_id: int | None
     has_torsion: bool
     _contexts: dict = field(default_factory=dict, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)  # boundary key -> degree basis
+    _bases: dict = field(default_factory=dict, repr=False)  # shape -> CohomologyBasis
     _blocks: dict = field(default_factory=dict, repr=False)  # (subset, degree) -> gid range
 
     def context(self, subset: int) -> _BlockContext:
@@ -507,22 +513,20 @@ def functoriality_check(
     sub_table = bigraded_betti(sub)
     sub_pres = ring_presentation(sub, table=sub_table)
     checked = 0
-    for g in sub_pres.generators:
-        for h in sub_pres.generators:
-            if checked >= max_pairs:
-                break
-            inner = star_product(g.cls, h.cls, sub)
-            pushed_inner = _push_class(inner, parents)
-            outer = star_product(
-                _push_class(g.cls, parents), _push_class(h.cls, parents), complex_
+    gens = sub_pres.generators
+    for g, h in islice(product(gens, gens), max_pairs):
+        inner = star_product(g.cls, h.cls, sub)
+        pushed_inner = _push_class(inner, parents)
+        outer = star_product(
+            _push_class(g.cls, parents), _push_class(h.cls, parents), complex_
+        )
+        checked += 1
+        if pushed_inner != outer:
+            return FunctorialityReport(
+                ok=False,
+                pairs_checked=checked,
+                first_failure=(g.address(), h.address()),
             )
-            checked += 1
-            if pushed_inner != outer:
-                return FunctorialityReport(
-                    ok=False,
-                    pairs_checked=checked,
-                    first_failure=(g.address(), h.address()),
-                )
     return FunctorialityReport(ok=True, pairs_checked=checked)
 
 

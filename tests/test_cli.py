@@ -75,6 +75,16 @@ class TestConstruct:
         assert run_cli(["construct", "polygon", "x"], capsys)[0] == 2
         assert run_cli(["construct", "polygon", "2"], capsys)[0] == 2
         assert run_cli(["construct", "nonsense"], capsys)[0] == 2
+        wrong_counts = [
+            (["polygon"], "polygon takes 1 parameter(s), got 0"),
+            (["truncated-simplex", "3"], "truncated-simplex takes 2 parameter(s), got 1"),
+            (["polygon", "3", "4"], "polygon takes 1 parameter(s), got 2"),
+            (["p28-8", "5"], "p28-8 takes 0 parameter(s), got 1"),
+        ]
+        for argv, expected in wrong_counts:
+            code, out, err = run_cli(["construct", *argv], capsys)
+            assert (code, out) == (2, ""), argv
+            assert expected in err
 
 
 class TestZk:

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
+from test_homology import RP2
 
 from moment_angle import (
     EMPTY,
@@ -13,6 +14,7 @@ from moment_angle import (
     cross_polytope,
     mask_of,
     polygon,
+    random_complexes,
     read_cplx,
     truncated_simplex,
     two_points,
@@ -174,6 +176,31 @@ class TestFullSubcomplex:
                 if f & ~mask == 0
             )
             assert sorted(sub.missing_faces()) == expected
+
+
+SHAPE_INPUTS = [
+    pytest.param(construct_p28_8(), id="p28"),
+    pytest.param(RP2, id="rp2"),
+    pytest.param(SimplicialComplex(7, [(1, 2, 3), (3, 4), (4, 5)], allow_ghosts=True), id="ghosts"),
+    *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
+]
+
+
+class TestSubsetShape:
+    @pytest.mark.parametrize("complex_", SHAPE_INPUTS)
+    def test_equal_shapes_exactly_when_full_subcomplexes_are_equal(self, complex_):
+        pairs = set()
+        for subset in range(1 << complex_.m):
+            sub = complex_.full_subcomplex(subset)
+            pairs.add((complex_.subset_shape(subset), (sub.m, sub.facets)))
+        shapes = {shape for shape, _ in pairs}
+        subcomplexes = {sub for _, sub in pairs}
+        assert len(shapes) == len(pairs) == len(subcomplexes)
+
+    def test_shape_relabels_missing_faces_within_the_subset(self, p28):
+        # {5, 6} and {7, 8} are missing faces, on ranks 1, 2 of {5, 6, 7, 8}
+        assert p28.subset_shape((5, 6, 7, 8)) == (4, (mask_of((1, 2)), mask_of((3, 4))))
+        assert p28.subset_shape(()) == (0, ())
 
 
 class TestJoinConeUnion:

@@ -489,21 +489,29 @@ class TestSharedBases:
                     assert outcome(shared, noise) == outcome(alone, noise)
         assert torsion_seen == any(g.torsion for g in presentation.table.entries.values())
 
-    def test_tracked_smith_forms_run_once_per_key(self, monkeypatch):
+    def test_tracked_smith_forms_run_once_per_shape(self, monkeypatch):
         complex_ = polygon(9)
         table = bigraded_betti(complex_)
         calls = []
+        built = []
         original = homology.smith_normal_form
+        original_init = homology._DegreeBasis.__init__
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
+        def counting_init(self, *args):
+            built.append(args)
+            original_init(self, *args)
+
         monkeypatch.setattr(homology, "smith_normal_form", counting)
+        monkeypatch.setattr(homology._DegreeBasis, "__init__", counting_init)
         first = ring_presentation(complex_, table=table)
-        bases = sum(len(ctx.basis._degrees) for ctx in first._contexts.values())
-        assert (bases, len(first._bases)) == (439, 98)
-        assert len(calls) <= 2 * len(first._bases)
+        assert (len(first._contexts), len(first._bases), len(built)) == (439, 98, 98)
+        assert len(calls) <= 2 * len(built)
+        for subset, ctx in first._contexts.items():
+            assert ctx.basis is first._bases[complex_.subset_shape(subset)]
         # a second presentation starts from an empty memo
         counted = len(calls)
         calls.clear()
