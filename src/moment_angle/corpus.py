@@ -1,8 +1,9 @@
 """Seeded random complexes for cross-validation and property tests.
 
-The generator keeps every sample inside the budget the Taylor complex can
-afford (2^|missing faces| monomials), so a corpus run exercises all three
-Tor computations without pathological blowups.  Everything is driven by one
+The generator keeps every sample small (at most ``max_missing`` missing
+faces), so a corpus run exercises all three Tor computations without
+pathological blowups, and tests can still compare against the full
+2^|missing faces| Taylor complex.  Everything is driven by one
 seed; the same seed always yields the same list.
 """
 

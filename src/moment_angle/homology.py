@@ -151,15 +151,6 @@ class ChainComplexZ:
                 entries.setdefault(rows_index[sub], {})[j] = sign
         return entries
 
-    def boundary_matrix(self, d: int) -> list:
-        rows = self.n_faces(d - 1)
-        cols = self.n_faces(d)
-        mat = [[0] * cols for _ in range(rows)]
-        for i, row in self.boundary_entries(d).items():
-            for j, v in row.items():
-                mat[i][j] = v
-        return mat
-
     def coboundary_matrix(self, d: int) -> list:
         """Matrix of delta: C^d -> C^{d+1}, the transpose of boundary(d+1)."""
         mat = [[0] * self.n_faces(d) for _ in range(self.n_faces(d + 1))]

@@ -7,24 +7,28 @@ encoded as the integer ``sigma | tau << m``; the differential replaces one
 exterior variable by its polynomial shadow and keeps only face-monomial
 targets.
 
-Taylor route: the exterior-algebra-shaped complex on the set of missing
-faces, a monomial encoded as the bitmask of its factors' positions in the
-missing face list.  The differential drops one factor and keeps the term
-only when the union of the rest is unchanged, so it preserves the support
-and homology can be computed one support stratum at a time.
+Taylor route: Lyubeznik's subcomplex of the Taylor complex on the missing
+faces (Lyubeznik 1988; Mermin, "Three simplicial resolutions", 2012).  A
+monomial is the bitmask of its factors' positions in the missing face list,
+and only the Lyubeznik-admissible ones are kept; they are closed under
+dropping a factor and still resolve the face ring.  The differential drops
+one factor and keeps the term only when the union of the rest is unchanged,
+so it preserves the support and homology can be computed one support
+stratum at a time.
 
 Each Koszul piece (fixed j) and Taylor stratum (fixed support) becomes a
 :class:`ChainComplexZ`, after d o d = 0 is checked on every basis element;
 :func:`koszul_pieces` and :func:`taylor_strata` yield them one at a time.
 Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
-Both refuse, before building anything, a complex whose basis would exceed
-its cap: ``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_GENERATOR_CAP`` missing
-faces.
+Both refuse, before building any complex, a basis over its budget:
+``KOSZUL_BASIS_CAP`` monomials, counted up front, or ``TAYLOR_BASIS_CAP``
+admissible monomials, counted as they are enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .bitsets import iter_vertices, lex_key, vertices_of
@@ -32,7 +36,7 @@ from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, sum_groups
 
-TAYLOR_GENERATOR_CAP = 20
+TAYLOR_BASIS_CAP = 1 << 20
 KOSZUL_BASIS_CAP = 1 << 22
 
 
@@ -170,33 +174,50 @@ class TaylorTable:
         )
 
 
-def check_taylor_budget(complex_: SimplicialComplex) -> None:
-    """Refuse a Taylor complex on more than ``TAYLOR_GENERATOR_CAP`` missing faces."""
-    missing = complex_.missing_faces()
-    if len(missing) > TAYLOR_GENERATOR_CAP:
-        raise CapExceeded(
-            f"{len(missing)} missing faces means 2^{len(missing)} Taylor monomials; "
-            "refusing"
-        )
+def lyubeznik_supports(missing: tuple) -> dict:
+    """Support of every Lyubeznik-admissible monomial on ``missing``, by monomial.
 
-
-def taylor_strata(complex_: SimplicialComplex) -> Iterator[tuple]:
-    """The Taylor complex as ``(support, ChainComplexZ)`` strata of fixed support.
-
-    A monomial is the bitmask of its factors' positions in the missing face
-    list.  d(u) drops the i-th factor with sign (-1)^i and keeps the term
-    only when the support is unchanged, so each support S spans a finite
-    complex of its own, graded by the exterior degree r; d o d = 0 is
-    checked stratum by stratum.
+    Positions i_1 < ... < i_k are admissible when, for every t, the first
+    missing face inside m_{i_t} u ... u m_{i_k} is m_{i_t} itself.  The sets
+    are grown depth first by putting a lower position in front of an
+    admissible one; a set that fails never becomes admissible again, so it
+    is not extended.  More than ``TAYLOR_BASIS_CAP`` monomials (the empty
+    one included) raise :class:`CapExceeded` as soon as the count passes it.
     """
-    check_taylor_budget(complex_)
-    missing = complex_.missing_faces()
-    supports = [0] * (1 << len(missing))
+
+    @cache
+    def first_inside(union: int) -> int:
+        return next(q for q, face in enumerate(missing) if face & ~union == 0)
+
+    supports = {0: 0}
+    stack = [(1 << j, face) for j, face in enumerate(missing)]
+    while stack:
+        mono, support = stack.pop()
+        supports[mono] = support
+        if len(supports) > TAYLOR_BASIS_CAP:
+            raise CapExceeded(
+                f"the Lyubeznik subcomplex of the Taylor complex on {len(missing)} missing "
+                f"faces has more than {TAYLOR_BASIS_CAP} monomials; refusing"
+            )
+        for i in range((mono & -mono).bit_length() - 1):
+            union = support | missing[i]
+            if first_inside(union) == i:
+                stack.append((mono | 1 << i, union))
+    return supports
+
+
+def _strata(supports: dict) -> Iterator[tuple]:
+    """``(support, ChainComplexZ)`` strata of the Taylor differential on ``supports``.
+
+    ``supports`` maps each monomial of a set closed under dropping a factor
+    to its support.  d(u) drops the i-th factor with sign (-1)^i and keeps
+    the term only when the support is unchanged, so each support S spans a
+    finite complex of its own, graded by the exterior degree r; d o d = 0
+    is checked stratum by stratum.  Each degree lists its monomials in
+    increasing order.
+    """
     strata_basis: dict[int, dict] = {}  # support -> r -> monomials
-    for mono in range(1 << len(missing)):
-        if mono:
-            low = mono & -mono
-            supports[mono] = supports[mono ^ low] | missing[low.bit_length() - 1]
+    for mono in sorted(supports):
         strata_basis.setdefault(supports[mono], {}).setdefault(mono.bit_count(), []).append(mono)
 
     def differential(mono: int) -> dict:
@@ -216,8 +237,22 @@ def taylor_strata(complex_: SimplicialComplex) -> Iterator[tuple]:
         yield support, _checked_complex(basis, differential, "taylor")
 
 
+def taylor_strata(complex_: SimplicialComplex) -> Iterator[tuple]:
+    """Lyubeznik's Taylor subcomplex as ``(support, ChainComplexZ)`` strata.
+
+    The admissible monomials of :func:`lyubeznik_supports`, all enumerated
+    (and the budget checked) before the first stratum is built; each
+    stratum carries the same homology as the full Taylor complex's.
+    """
+    return _strata(lyubeznik_supports(complex_.missing_faces()))
+
+
 def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
-    """Homology of the Taylor complex, one (r, S) stratum at a time."""
+    """Homology of the Taylor complex, one (r, S) stratum at a time.
+
+    Computed on Lyubeznik's subcomplex (:func:`taylor_strata`), whose
+    strata have the same homology.
+    """
     strata = {}
     for support, cc in taylor_strata(complex_):
         for r, group in _nonzero_homology(cc).items():
@@ -245,18 +280,18 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     Comparison is per Tor bidegree for all three, and additionally per
     support stratum between the Taylor table and the subset table.  Raises
     MethodDisagreement at the first difference; this is a bug signal, not a
-    recoverable condition.  A complex over either cap raises CapExceeded
-    before the subset sweep starts.
+    recoverable condition.  The Taylor side (Lyubeznik's subcomplex) runs
+    first, so a complex over either basis budget raises CapExceeded before
+    the subset sweep starts.
     """
     from .hochster import bigraded_betti  # local import to avoid a cycle
 
     check_koszul_budget(complex_)
-    check_taylor_budget(complex_)
+    taylor = taylor_bigraded(complex_)
     if table is None:
         table = bigraded_betti(complex_, **kwargs)
     hochster_table = table.tor_bidegrees()
     koszul_table = koszul_bigraded(complex_).entries
-    taylor = taylor_bigraded(complex_)
     taylor_table = taylor.bidegrees().entries
 
     keys = set(hochster_table) | set(koszul_table) | set(taylor_table)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import cross_check, read_cplx, write_cplx
+from moment_angle import cross_check, read_cplx, resolutions, write_cplx
 from moment_angle.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -133,8 +133,10 @@ class TestZk:
         assert "--max-vertices" in err
 
 
-    def test_taylor_refusal_names_no_flag(self, tmp_path, capsys):
-        # 27 missing faces: the Taylor cap refuses, and --max-vertices cannot lift it
+    def test_taylor_refusal_names_no_flag(self, tmp_path, capsys, monkeypatch):
+        # 4,496 admissible Taylor monomials: a budget below that refuses,
+        # and --max-vertices cannot lift it
+        monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 4_495)
         nonagon = tmp_path / "p9.cplx"
         run_cli(["construct", "polygon", "9", "--out", str(nonagon)], capsys)
         for extra in ([], ["--max-vertices", "99"]):

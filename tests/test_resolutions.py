@@ -7,18 +7,27 @@ from moment_angle import (
     SimplicialComplex,
     bigraded_betti,
     boundary_simplex,
+    construct_p28_8,
     cross_check,
     koszul_basis_size,
     koszul_bigraded,
     mask_of,
     polygon,
+    random_complexes,
     taylor_bigraded,
     truncated_simplex,
     two_points,
     vertices_of,
 )
+from moment_angle import hochster, resolutions
 from moment_angle.errors import CapExceeded
-from moment_angle.resolutions import KOSZUL_BASIS_CAP, koszul_pieces, taylor_strata
+from moment_angle.resolutions import (
+    KOSZUL_BASIS_CAP,
+    TAYLOR_BASIS_CAP,
+    koszul_pieces,
+    lyubeznik_supports,
+    taylor_strata,
+)
 from moment_angle.snf import invariant_factors_sparse
 from test_homology import RP2
 
@@ -72,15 +81,6 @@ class TestTaylor:
         totals = {p: g.rank for p, g in taylor_bigraded(p28).bidegrees().total().items()}
         assert totals == {0: 1, 3: 2, 5: 8, 6: 18, 7: 8, 9: 2, 12: 1}
 
-    def test_generator_cap(self):
-        # the complete graph's flag complex has one missing face per triple
-        skeleton = SimplicialComplex(
-            8, [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
-        )
-        assert len(skeleton.missing_faces()) == 56
-        with pytest.raises(CapExceeded):
-            taylor_bigraded(skeleton)
-
 
 class TestKoszulBudget:
     def test_cross_polytope_7_is_refused(self):
@@ -103,6 +103,113 @@ def seven_cycle_with_chords(chords=((1, 4), (2, 6))):
     return SimplicialComplex(7, edges)
 
 
+NAMED = {
+    "p28": construct_p28_8(),
+    "RP2": RP2,
+    "RP2*S0": RP2.join(two_points()),
+    "7-cycle+chords": seven_cycle_with_chords(),
+    "7-cycle+chord{1,4}": seven_cycle_with_chords([(1, 4)]),
+    "truncated-simplex 5 2": truncated_simplex(5, 2),
+}
+
+
+def complete_graph_skeleton():
+    # the complete graph's flag complex has one missing face per triple
+    return SimplicialComplex(8, [(a, b) for a in range(1, 9) for b in range(a + 1, 9)])
+
+
+def full_taylor_strata(complex_):
+    """The full Taylor complex, all 2^r monomials, stratified by support."""
+    missing = complex_.missing_faces()
+    supports = [0] * (1 << len(missing))
+    for mono in range(1, 1 << len(missing)):
+        low = mono & -mono
+        supports[mono] = supports[mono ^ low] | missing[low.bit_length() - 1]
+    return resolutions._strata(dict(enumerate(supports)))
+
+
+def stratum_groups(strata):
+    return {
+        (r, support): group
+        for support, cc in strata
+        for r, group in cc.homology().items()
+        if not group.is_zero
+    }
+
+
+def is_admissible(missing, mono):
+    """Lyubeznik's condition, read straight off its definition."""
+    positions = [i for i in range(len(missing)) if mono >> i & 1]
+    for t, i_t in enumerate(positions):
+        union = 0
+        for i in positions[t:]:
+            union |= missing[i]
+        if any(missing[q] & ~union == 0 for q in range(i_t)):
+            return False
+    return True
+
+
+class TestLyubeznik:
+    """Lyubeznik's subcomplex against the full Taylor complex it replaces."""
+
+    SAMPLES = {**NAMED, **{f"random{i}": c for i, c in enumerate(random_complexes(30, seed=5))}}
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_admissible_sets_match_the_definition(self, name):
+        missing = self.SAMPLES[name].missing_faces()
+        supports = lyubeznik_supports(missing)
+        assert set(supports) == {
+            mono for mono in range(1 << len(missing)) if is_admissible(missing, mono)
+        }
+        for mono, support in supports.items():
+            union = 0
+            for i, face in enumerate(missing):
+                if mono >> i & 1:
+                    union |= face
+            assert support == union
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_every_stratum_matches_the_full_taylor_complex(self, name):
+        complex_ = self.SAMPLES[name]
+        assert len(complex_.missing_faces()) <= 14
+        expected = stratum_groups(full_taylor_strata(complex_))
+        assert taylor_bigraded(complex_).strata == expected
+        if name.startswith("RP2"):
+            assert any(group.torsion for group in expected.values())
+
+    def test_basis_sizes(self, p28):
+        assert TAYLOR_BASIS_CAP == 1 << 20
+        for complex_, missing, admissible in [
+            (p28, 10, 136),
+            (complete_graph_skeleton(), 56, 4_324),
+            (polygon(12), 54, 182_656),
+        ]:
+            assert len(complex_.missing_faces()) == missing
+            assert len(lyubeznik_supports(complex_.missing_faces())) == admissible
+
+    def test_polygon_14_is_over_the_budget(self):
+        tetradecagon = polygon(14)
+        assert len(tetradecagon.missing_faces()) == 77
+        with pytest.raises(CapExceeded, match=f"77 missing faces .* {TAYLOR_BASIS_CAP}"):
+            taylor_bigraded(tetradecagon)
+
+    def test_complete_graph_skeleton_passes_the_cross_check(self):
+        assert cross_check(complete_graph_skeleton()).ok
+
+    def test_budget_refuses_before_the_subset_sweep(self, p28, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("subset sweep started")
+
+        monkeypatch.setattr(hochster, "bigraded_betti", no_sweep)
+        monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 135)
+        with pytest.raises(CapExceeded, match="more than 135 monomials"):
+            cross_check(p28)
+        with pytest.raises(CapExceeded):
+            taylor_strata(p28)
+        monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 136)
+        assert len(taylor_bigraded(p28).strata) == 40
+
+
 class TestPieceOracle:
     """The coreduction pass against the per-degree reduction, piece by piece.
 
@@ -123,35 +230,24 @@ class TestPieceOracle:
             count += 1
         assert count
 
-    @staticmethod
-    def complex_named(name, p28):
-        return {
-            "p28": p28,
-            "RP2": RP2,
-            "RP2*S0": RP2.join(two_points()),
-            "7-cycle+chords": seven_cycle_with_chords(),
-            "7-cycle+chord{1,4}": seven_cycle_with_chords([(1, 4)]),
-            "truncated-simplex 5 2": truncated_simplex(5, 2),
-        }[name]
-
-    @pytest.mark.parametrize(
-        "name",
-        ["p28", "RP2", "RP2*S0", "7-cycle+chords", "7-cycle+chord{1,4}", "truncated-simplex 5 2"],
-    )
-    def test_koszul_pieces_and_taylor_strata(self, name, p28):
-        complex_ = self.complex_named(name, p28)
+    @pytest.mark.parametrize("name", NAMED)
+    def test_koszul_pieces_and_taylor_strata(self, name):
+        complex_ = NAMED[name]
         self.check(koszul_pieces(complex_))
         self.check(taylor_strata(complex_))
 
     @pytest.mark.parametrize(
         "name", ["p28", "7-cycle+chords", "7-cycle+chord{1,4}", "truncated-simplex 5 2"]
     )
-    def test_free_faces_leave_nothing_to_eliminate(self, name, p28, no_elimination):
+    def test_free_faces_leave_nothing_to_eliminate(self, name, no_elimination):
         # coreductions alone stall on the Taylor strata; with free faces
         # paired too, no piece of these torsion-free inputs needs elimination
-        # (the one-chord cycle also needs the queues taken oldest first)
-        complex_ = self.complex_named(name, p28)
-        for _, cc in [*koszul_pieces(complex_), *taylor_strata(complex_)]:
+        # (the one-chord cycle also needs the queues taken oldest first).
+        # The one-chord cycle is checked on the full Taylor complex: one of
+        # its Lyubeznik strata is a square with no free face.
+        complex_ = NAMED[name]
+        strata = full_taylor_strata if name == "7-cycle+chord{1,4}" else taylor_strata
+        for _, cc in [*koszul_pieces(complex_), *strata(complex_)]:
             cc.boundary_factor_table()
 
 
