@@ -22,7 +22,7 @@ class NotAFacet(MomentAngleError):
 
 
 class ParameterOutOfRange(MomentAngleError):
-    """A builder parameter is outside its documented range."""
+    """A builder parameter or a setting is outside its documented range."""
 
 
 class NotPure(MomentAngleError):

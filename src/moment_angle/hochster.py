@@ -16,20 +16,24 @@ from dataclasses import dataclass
 
 from .bitsets import vertices_of
 from .complexes import SimplicialComplex
-from .errors import NotASphereCandidate, VertexCapExceeded
+from .errors import NotASphereCandidate, ParameterOutOfRange, VertexCapExceeded
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, pseudo_sphere_check, sum_groups
 
 DEFAULT_VERTEX_CAP = 24
 
 
 def _thread_default() -> int:
+    """Worker count from ``MOMENT_ANGLE_THREADS``, 1 when it is unset or empty."""
     env = os.environ.get("MOMENT_ANGLE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0  # refused below, like any count under 1
+    if threads < 1:
+        raise ParameterOutOfRange(f"MOMENT_ANGLE_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
 from .errors import NotACocycle, NotPure
-from .snf import identity, invariant_factors_sparse, matmul, smith_normal_form
+from .snf import _diag_snf, identity, invariant_factors_sparse, matmul, smith_normal_form
 
 
 class Abelian(NamedTuple):
@@ -43,40 +43,19 @@ class Abelian(NamedTuple):
 ZERO_GROUP = Abelian(0, ())
 
 
-def _factor_small(n: int) -> dict:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def merge_torsion(torsion_lists) -> tuple:
     """Canonical invariant factors of a direct sum of cyclic groups.
 
     Summands from different sources need recombining: Z/2 + Z/3 is Z/6 as a
-    divisor chain.  Exponents per prime are sorted so the largest factors
-    pair up, then the chain is returned in ascending divisibility order.
+    divisor chain.  The chain is the Smith diagonal of the diagonal matrix
+    of the orders, without its unit entries, in ascending divisibility order.
     """
-    by_prime: dict[int, list] = {}
-    for torsion in torsion_lists:
-        for t in torsion:
-            for p, e in _factor_small(t).items():
-                by_prime.setdefault(p, []).append(e)
-    if not by_prime:
+    orders = [t for torsion in torsion_lists for t in torsion]
+    if not orders:
         return ()
-    depth = max(len(es) for es in by_prime.values())
-    factors = [1] * depth
-    for p, es in by_prime.items():
-        es.sort(reverse=True)
-        for i, e in enumerate(es):
-            factors[i] *= p**e
-    return tuple(reversed(factors))
+    n = len(orders)
+    diagonal = [[t if i == j else 0 for j in range(n)] for i, t in enumerate(orders)]
+    return tuple(t for t in _diag_snf(diagonal) if t > 1)
 
 
 def sum_groups(pairs) -> dict:

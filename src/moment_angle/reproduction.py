@@ -154,7 +154,7 @@ def run_checklist(threads: int = 1) -> list:
     for k, l in MCGAVRAN_PAIRS:
         member = truncated_simplex(k, l)
         want = parse_model(mcgavran_model(k, l))
-        result = verify_csp_model(member, want, max_vertices=member.m)
+        result = verify_csp_model(member, want, threads=threads, max_vertices=member.m)
         record(
             f"truncated simplex (k={k}, l={l}) matches its closed formula",
             result.consistent,

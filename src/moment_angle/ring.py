@@ -531,7 +531,10 @@ def functoriality_check(
 
 
 def ring_json_obj(presentation: RingPresentation) -> dict:
-    """Stable JSON form: generator addresses and integer structure constants."""
+    """Stable JSON form: generator addresses and integer structure constants.
+
+    Products are listed as stored: nonzero only, in ascending ``(g, h)`` order.
+    """
     gens = [
         {
             "id": g.gid,
@@ -542,12 +545,10 @@ def ring_json_obj(presentation: RingPresentation) -> dict:
         }
         for g in presentation.generators
     ]
-    products = []
-    for (a, b), terms in sorted(presentation.products.items()):
-        if terms:
-            products.append(
-                {"g": a, "h": b, "terms": [[gid, coeff] for gid, coeff in terms]}
-            )
+    products = [
+        {"g": a, "h": b, "terms": [[gid, coeff] for gid, coeff in terms]}
+        for (a, b), terms in presentation.products.items()
+    ]
     return {
         "m": presentation.complex.m,
         "dim": presentation.complex.dim(),

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import cross_check, read_cplx, resolutions, write_cplx
+from moment_angle import cli, cross_check, read_cplx, resolutions, write_cplx
 from moment_angle.cli import main
+from moment_angle.errors import MethodDisagreement
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -221,6 +222,40 @@ class TestReports:
         _, single, _ = run_cli(["zk", p28_file, "--json"], capsys)
         assert multi == single
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_malformed_thread_env_var_is_refused(self, p28_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("MOMENT_ANGLE_THREADS", value)
+        code, out, err = run_cli(["zk", p28_file], capsys)
+        assert (code, out) == (2, "")
+        assert "MOMENT_ANGLE_THREADS" in err and repr(value) in err
+
+    @pytest.mark.parametrize("command", ["zk", "paper"])
+    def test_threads_flag_reaches_every_sweep(self, p28_file, capsys, monkeypatch, command):
+        # the variable is read only where --threads is not given
+        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "abc")
+        argv = [command, *([p28_file] if command == "zk" else []), "--threads", "1"]
+        assert run_cli(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("argv", [["zk", "--method", "all"], ["crosscheck"]], ids=" ".join)
+    def test_method_disagreement_exits_1(self, pentagon_file, capsys, monkeypatch, argv):
+        def disagree(*_args, **_kwargs):
+            raise MethodDisagreement((1, 3), "planted")
+
+        monkeypatch.setattr(cli, "cross_check", disagree)
+        code, out, err = run_cli([argv[0], pentagon_file, *argv[1:]], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("method disagreement:") and "planted" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["betti", "--json"], ["zk", "--method", "taylor"], ["verify", "--model", "5,7*9;6,6*9"],
+    ], ids=" ".join)
+    def test_out_file_holds_the_printed_bytes(self, p28_file, tmp_path, capsys, argv):
+        target = tmp_path / "report.txt"
+        full = [argv[0], p28_file, *argv[1:]]
+        code, printed, _ = run_cli(full, capsys)
+        assert run_cli([*full, "--out", str(target)], capsys)[:2] == (code, "")
+        assert target.read_text() == printed
+
     def test_reproduce_alias(self, capsys):
         code, out, _ = run_cli(["reproduce"], capsys)
         assert code == 0
@@ -249,6 +284,60 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4a2c833c0a8f31c421905040eb38747aa2688a48dc84c4094c728db6841ba635"
         )
+
+
+# exit code and SHA-256 of the text report on tests/data/p28_8.cplx, by subcommand
+TEXT_DIGESTS = {
+    "betti": (0, "3eac3f29cf31fd2f26f2a6a2883ef6b79daa118c0c730badbaa0ecc23014b20d"),
+    "zk": (0, "d5ae2cce275e470d374f83ed20ede1e7d23dcef0a84d5ec9f7bbfb307eff2c39"),
+    "zk --bigraded": (0, "8309caeb87c2f24f73d1ff9e1d79d4cc233f721305df9ac7fe90923bb787ec59"),
+    "zk --method koszul": (0, "9cb1dd82471ccc8db0690b0b53079f96de4b105c7d1cf2e1b25bfac753312a8a"),
+    "zk --method taylor": (0, "edb38afc5ea4d979a48c01e1a946bf944808ab1893cc11c417dfb45329fb7170"),
+    "zk --method all": (0, "8b88c8a3935bbe436f9273801347b9afbda99c5cb4c10c25c337e32b9f538f11"),
+    "zk --method all --bigraded": (
+        0, "462971c5e1913242c01b01c5bf7dcdede8fd076f0169f2b7863d259ac1bae602"
+    ),
+    "ring": (0, "a1613f948147cc12eabe1a8a1c1e0afe556b84bb54586e86cf0af334c9521c10"),
+    "crosscheck": (0, "da7b0830cd3c9934165b25cf383251808f52415f7fc0be4bfd8c2753dbd7e9a6"),
+    "classify": (0, "fe92555c3e28f4d897e500008fd72a24bd5f7f92dbcda2f89c1cb81cd5e46eba"),
+    "verify --model 3,3,6;5,7*8;6,6*8": (
+        0, "6b53b389b570de2a6eada9ee01bfc7a6e1c2afe85aa5c8e8f0b87cbc8423f990"
+    ),
+    "verify --model 3,9*2;5,7*8;6,6*9": (
+        1, "843a8574977715a01bdbb4fb9f0044ad4ceb5149349fdd288cc3f5f8e3384589"
+    ),
+    "paper": (0, "bdbc946a0ecd43a72d8be36b5820313322556491a8c7eb1ea9cd05bffc5621ed"),
+}
+
+# options a subcommand does not read: refused, not ignored
+REFUSED = [
+    "betti --threads 2",
+    "betti --max-vertices 9",
+    "paper --max-vertices 9",
+    "zk --method koszul --bigraded",
+    "zk --method taylor --bigraded",
+]
+
+
+def p28_argv(command: str) -> list:
+    """``command`` split into argv, with the p28 file (relative to the repository) after
+    the subcommand name unless it is ``paper``; the text reports print that path."""
+    name, *options = command.split()
+    return [name, *([] if name == "paper" else ["tests/data/p28_8.cplx"]), *options]
+
+
+class TestTextOutputs:
+    @pytest.mark.parametrize("command", TEXT_DIGESTS)
+    def test_text_digest(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(REPO)
+        code, out, _ = run_cli(p28_argv(command), capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == TEXT_DIGESTS[command]
+
+    @pytest.mark.parametrize("command", REFUSED)
+    def test_ignored_option_is_refused(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(REPO)
+        code, out, _ = run_cli(p28_argv(command), capsys)
+        assert (code, out) == (2, "")
 
 
 class TestSubprocess:

@@ -228,7 +228,35 @@ class TestSubsetAssembly:
             self.check_every_subset(complex_)
 
 
+def prime_power_chain(orders) -> tuple:
+    """Invariant factors by prime factorisation: the largest exponents pair up."""
+    by_prime: dict = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                by_prime.setdefault(p, []).append(e)
+            p += 1
+    depth = max((len(es) for es in by_prime.values()), default=0)
+    factors = [1] * depth
+    for p, es in by_prime.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[i] *= p**e
+    return tuple(reversed(factors))
+
+
 class TestMergeTorsion:
+    @given(st.lists(st.lists(st.integers(2, 400), max_size=3), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_prime_power_construction(self, torsion_lists):
+        merged = merge_torsion(torsion_lists)
+        assert merged == prime_power_chain([t for ts in torsion_lists for t in ts])
+        assert all(b % a == 0 for a, b in zip(merged, merged[1:]))
+
     def test_coprime_merge(self):
         assert merge_torsion([(2,), (3,)]) == (6,)
 
