@@ -17,12 +17,14 @@ from moment_angle import (
     mask_of,
     poincare_check,
     polygon,
+    truncated_simplex,
     vertices_of,
     zk_betti,
 )
 from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate
 from moment_angle.hochster import BigradedBetti
+from test_homology import P28, RP2
 
 Z = Abelian(1, ())
 
@@ -163,15 +165,34 @@ class TestBigraded:
             table = bigraded_betti(boundary_simplex(k))
             assert set(table.entries) == {(0, -1), ((1 << (k + 1)) - 1, k - 1)}
 
-    def test_prune_matches_unpruned(self):
-        for complex_ in [polygon(5), boundary_simplex(3), cross_polytope(2)]:
-            pruned = bigraded_betti(complex_, prune=True)
-            unpruned = bigraded_betti(complex_, prune=False)
-            assert pruned.entries == unpruned.entries
+    @pytest.mark.parametrize(
+        "complex_",
+        [
+            polygon(5),
+            boundary_simplex(3),
+            cross_polytope(2),
+            RP2,  # torsion carried through the cone-link reduction
+            P28,
+            polygon(9),
+            truncated_simplex(4, 6),
+            cross_polytope(3),
+        ],
+        ids=["polygon-5", "simplex-boundary-3", "cross-polytope-2", "rp2", "p28", "polygon-9",
+             "truncated-simplex-4-6", "cross-polytope-3"],
+    )
+    def test_prune_matches_unpruned(self, complex_):
+        pruned = bigraded_betti(complex_, prune=True)
+        unpruned = bigraded_betti(complex_, prune=False)
+        assert pruned.entries == unpruned.entries
+        assert list(pruned.entries) == list(unpruned.entries)
 
-    def test_thread_count_does_not_change_output(self, p28):
-        single = bigraded_betti(p28, threads=1)
-        multi = bigraded_betti(p28, threads=2)
+    # reductions on these inputs reach below the first subset of a batch
+    @pytest.mark.parametrize(
+        "complex_", [P28, polygon(12), truncated_simplex(4, 6)], ids=["p28", "polygon-12", "truncated-simplex-4-6"]
+    )
+    def test_thread_count_does_not_change_output(self, complex_):
+        single = bigraded_betti(complex_, threads=1)
+        multi = bigraded_betti(complex_, threads=2)
         assert single.entries == multi.entries
         assert list(single.entries) == list(multi.entries)
 
