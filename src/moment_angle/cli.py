@@ -34,7 +34,13 @@ from .complexes import (
 )
 from .errors import MomentAngleError, ParameterOutOfRange, ParseError, VertexCapExceeded
 from .homology import reduced_homology
-from .hochster import DEFAULT_VERTEX_CAP, _thread_default, bigraded_betti, check_vertex_cap
+from .hochster import (
+    DEFAULT_VERTEX_CAP,
+    _thread_default,
+    bigraded_betti,
+    check_vertex_cap,
+    total_json,
+)
 from .reproduction import checklist_json_obj, run_checklist
 from .resolutions import (
     MethodDisagreement,
@@ -112,21 +118,15 @@ def cmd_zk(args):
         table = bigraded_betti(complex_, threads=args.threads, max_vertices=args.max_vertices)
         if args.method == "all":
             cross_check(complex_, table=table)
-        totals, payload = table.total(), table.to_json_obj()
+        totals = table.total()
+        payload = table._json_obj(totals)
     else:
         check_vertex_cap(complex_, args.max_vertices)
         if args.method == "koszul":
             totals = koszul_bigraded(complex_).total()
         else:
             totals = taylor_bigraded(complex_).bidegrees().total()
-        payload = {
-            "m": complex_.m,
-            "dim": complex_.dim(),
-            "total": [
-                {"p": p, "rank": g.rank, "torsion": list(g.torsion)}
-                for p, g in sorted(totals.items())
-            ],
-        }
+        payload = {"m": complex_.m, "dim": complex_.dim(), "total": total_json(totals)}
 
     def text():
         yield f"moment-angle cohomology over {args.file} (method: {args.method})"

@@ -20,7 +20,6 @@ Only the subsets that neither rule settles get a chain complex of their own.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bitsets import is_subset, iter_vertices, vertices_of
@@ -88,6 +87,10 @@ class BigradedBetti:
         )
 
     def to_json_obj(self) -> dict:
+        return self._json_obj(self.total())
+
+    def _json_obj(self, totals: dict) -> dict:
+        """The JSON payload, given ``totals``, this table's :meth:`total`."""
         bigraded = []
         for (subset, d), group in self.entries.items():
             bigraded.append(
@@ -98,11 +101,14 @@ class BigradedBetti:
                     "torsion": list(group.torsion),
                 }
             )
-        total = [
-            {"p": p, "rank": g.rank, "torsion": list(g.torsion)}
-            for p, g in sorted(self.total().items())
-        ]
-        return {"m": self.m, "dim": self.dim, "bigraded": bigraded, "total": total}
+        return {"m": self.m, "dim": self.dim, "bigraded": bigraded, "total": total_json(totals)}
+
+
+def total_json(totals: dict) -> list:
+    """The ``total`` rows of a JSON payload, one per degree p in increasing order."""
+    return [
+        {"p": p, "rank": g.rank, "torsion": list(g.torsion)} for p, g in sorted(totals.items())
+    ]
 
 
 def _covered(subset: int, missing: tuple) -> bool:
@@ -226,6 +232,10 @@ def bigraded_betti(
     if threads <= 1 or len(subsets) < 64:
         batches = [_batch_worker((complex_, subsets, prune))]
     else:
+        # imported here: loading the pool (multiprocessing, socket) costs
+        # about as much as the rest of the package's import
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = (len(subsets) + threads * 8 - 1) // (threads * 8)
         jobs = [
             (complex_, subsets[i : i + chunk], prune)

@@ -82,8 +82,9 @@ def run_checklist(threads: int = 1) -> list:
     )
 
     table = bigraded_betti(complex_, threads=threads)
-    betti = {p: g.rank for p, g in table.total().items()}
-    torsion_free = all(not g.torsion for g in table.total().values())
+    totals = table.total()
+    betti = {p: g.rank for p, g in totals.items()}
+    torsion_free = all(not g.torsion for g in totals.values())
     record(
         "moment-angle Betti table",
         betti == TARGET_BETTI and torsion_free,

@@ -5,7 +5,9 @@ tensored with the face ring by the relations v_i^2 = u_i v_i = 0.  Its basis
 is the set of pairs (sigma, tau) of disjoint vertex sets with tau a face,
 encoded as the integer ``sigma | tau << m``; the differential replaces one
 exterior variable by its polynomial shadow and keeps only face-monomial
-targets.
+targets.  One pass over the faces gives every face tau its up-mask, the
+vertices v with tau + v a face, so the column of u_sigma v_tau is one loop
+over the bits of ``up[tau] & sigma``, run for one piece at a time.
 
 Taylor route: Lyubeznik's subcomplex of the Taylor complex on the missing
 faces (Lyubeznik 1988; Mermin, "Three simplicial resolutions", 2012).  A
@@ -17,8 +19,10 @@ so it preserves the support and homology can be computed one support
 stratum at a time.
 
 Each Koszul piece (fixed j) and Taylor stratum (fixed support) becomes a
-:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element;
-:func:`koszul_pieces` and :func:`taylor_strata` yield them one at a time.
+:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element
+(:func:`_check_square`, shared by both); :func:`koszul_pieces` and
+:func:`taylor_strata` yield them one at a time, building each one's columns
+only when it is yielded.
 Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
 Both refuse, before building any complex, a basis over its budget:
 ``KOSZUL_BASIS_CAP`` monomials, counted up front, or ``TAYLOR_BASIS_CAP``
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .bitsets import iter_vertices, lex_key, vertices_of
+from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, sum_groups
@@ -54,14 +58,12 @@ class TorTable:
         return sum_groups((2 * j - i, group) for (i, j), group in self.entries.items())
 
 
-def _checked_columns(basis, differential, method: str) -> dict:
-    """Boundary column ``differential(key)`` of every key in ``basis``.
+def _check_square(columns: dict, method: str) -> dict:
+    """``columns`` itself, once d o d = 0 is checked on every key.
 
-    Every key a column names must itself be in ``basis``.  d o d = 0 is
-    checked on every basis element, and a failure raises
-    :class:`NotAChainComplex`.
+    Every key a column names must itself be a key of ``columns``; a nonzero
+    square raises :class:`NotAChainComplex`.
     """
-    columns = {key: differential(key) for key in basis}
     for key, column in columns.items():
         square: dict = {}
         for mid, sign in column.items():
@@ -70,6 +72,11 @@ def _checked_columns(basis, differential, method: str) -> dict:
         if any(square.values()):
             raise NotAChainComplex(f"{method} d*d != 0 on {key}")
     return columns
+
+
+def _checked_columns(basis, differential, method: str) -> dict:
+    """Boundary column ``differential(key)`` of every key in ``basis``, checked."""
+    return _check_square({key: differential(key) for key in basis}, method)
 
 
 def _checked_complex(basis_by_degree: dict, differential, method: str) -> ChainComplexZ:
@@ -91,11 +98,6 @@ def koszul_basis_size(complex_: SimplicialComplex) -> int:
     return sum(1 << (m - f.bit_count()) for f in complex_.face_set())
 
 
-def _koszul_sign(v: int, sigma: int) -> int:
-    below = (sigma & ((1 << (v - 1)) - 1)).bit_count()
-    return -1 if below & 1 else 1
-
-
 def check_koszul_budget(complex_: SimplicialComplex) -> None:
     """Refuse a Koszul complex of more than ``KOSZUL_BASIS_CAP`` monomials."""
     size = koszul_basis_size(complex_)
@@ -106,42 +108,75 @@ def check_koszul_budget(complex_: SimplicialComplex) -> None:
         )
 
 
+def _koszul_columns(basis: dict, up: dict, m: int) -> dict:
+    """Boundary column of every monomial of one Koszul piece.
+
+    ``basis`` maps each degree i to its monomials ``sigma | tau << m`` and
+    ``up[tau]`` is the mask of vertices v outside tau with tau + v a face,
+    so the terms of d(u_sigma v_tau) are the bits of ``up[tau] & sigma``:
+    u_{sigma - v} v_{tau + v}, with sign (-1)^(number of vertices of sigma
+    below v).
+    """
+    full = (1 << m) - 1
+    columns = {}
+    for monomials in basis.values():
+        for mono in monomials:
+            sigma = mono & full
+            bits = up[mono >> m] & sigma
+            column = {}
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                column[mono ^ bit ^ (bit << m)] = -1 if (sigma & (bit - 1)).bit_count() & 1 else 1
+            columns[mono] = column
+    return columns
+
+
 def koszul_pieces(complex_: SimplicialComplex) -> Iterator[tuple]:
     """The Koszul quotient algebra as ``(j, ChainComplexZ)`` pieces of fixed j.
 
     d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
     the term dropped whenever tau + v is not a face.  d preserves j = |sigma|
     + |tau| and lowers i = |sigma| by one.  The monomial u_sigma v_tau is the
-    integer ``sigma | tau << m``, and d o d = 0 is checked on every monomial
-    before any reduction.
+    integer ``sigma | tau << m``.
+
+    One pass over the faces records each face's up-mask (the vertices v with
+    tau + v a face) and sorts the monomials into their pieces.  A piece's
+    columns are built from the up-masks (:func:`_koszul_columns`) only when
+    it is yielded, and d o d = 0 is checked on every monomial before any
+    reduction.  Within a piece, degrees come in the order their face sizes
+    first occur and monomials in enumeration order: the reduction pass
+    meets elements in basis order, which changes how far its moves reach,
+    though not the groups.
     """
     check_koszul_budget(complex_)
     faces = complex_.face_set()
     m = complex_.m
     full = (1 << m) - 1
-    pieces: dict[int, dict] = {}  # j -> i -> monomials
+    up = dict.fromkeys(faces, 0)
+    pieces = [[[] for _ in range(j + 1)] for j in range(m + 1)]  # [j][i] -> monomials
+    sizes = {}  # face sizes in the order they first occur
     for tau in faces:
-        rest = full & ~tau
+        bits = tau
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            up[tau ^ bit] |= bit
         size = tau.bit_count()
+        sizes.setdefault(size)
+        shifted = tau << m
+        rest = full & ~tau
         sub = rest
         while True:
             i = sub.bit_count()
-            pieces.setdefault(i + size, {}).setdefault(i, []).append(sub | tau << m)
+            pieces[i + size][i].append(sub | shifted)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
 
-    def differential(mono: int) -> dict:
-        sigma, tau = mono & full, mono >> m
-        column = {}
-        for v in iter_vertices(sigma):
-            bit = 1 << (v - 1)
-            if (tau | bit) in faces:
-                column[(sigma & ~bit) | (tau | bit) << m] = _koszul_sign(v, sigma)
-        return column
-
-    for j, basis in pieces.items():
-        yield j, _checked_complex(basis, differential, "koszul")
+    for j, row in enumerate(pieces):
+        basis = {j - size: row[j - size] for size in sizes if size <= j}
+        yield j, ChainComplexZ(basis, _check_square(_koszul_columns(basis, up, m), "koszul"))
 
 
 def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:

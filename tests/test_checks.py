@@ -29,7 +29,15 @@ def test_broken_differential_is_refused():
 
 def test_koszul_with_unsigned_differential_is_refused(monkeypatch):
     # without the Koszul signs the two paths u_12 -> v_12 add up instead of cancelling
-    monkeypatch.setattr(resolutions, "_koszul_sign", lambda v, sigma: 1)
+    signed = resolutions._koszul_columns
+
+    def unsigned(*args):
+        return {
+            mono: {key: abs(c) for key, c in column.items()}
+            for mono, column in signed(*args).items()
+        }
+
+    monkeypatch.setattr(resolutions, "_koszul_columns", unsigned)
     with pytest.raises(NotAChainComplex):
         resolutions.koszul_bigraded(boundary_simplex(2))
 

@@ -351,6 +351,16 @@ class TestSubprocess:
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported only by a sweep with threads > 1
+        code = "import sys, moment_angle; print('concurrent.futures' in sys.modules)"
+        env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     def test_emitted_complex_reingests_identically(self, tmp_path):
         env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
         out1 = subprocess.run(

@@ -210,6 +210,42 @@ class TestLyubeznik:
         assert len(taylor_bigraded(p28).strata) == 40
 
 
+def textbook_koszul_column(complex_, mono):
+    """d(u_sigma v_tau) term by term: (-1)^(vertices of sigma below v) u_{sigma-v} v_{tau+v}."""
+    m = complex_.m
+    sigma, tau = mono & ((1 << m) - 1), mono >> m
+    column = {}
+    for v in vertices_of(sigma):
+        bit = 1 << (v - 1)
+        if tau | bit in complex_.face_set():
+            below = sum(1 for w in vertices_of(sigma) if w < v)
+            column[(sigma - bit) | (tau | bit) << m] = (-1) ** below
+    return column
+
+
+class TestKoszulColumns:
+    """The columns built from up-masks against the differential written out."""
+
+    @staticmethod
+    def check(complex_):
+        basis = []
+        for j, cc in koszul_pieces(complex_):
+            for i, monomials in cc.faces.items():
+                for mono in monomials:
+                    assert (mono & ((1 << complex_.m) - 1)).bit_count() == i
+                    assert cc.columns[mono] == textbook_koszul_column(complex_, mono), mono
+                basis += monomials
+        assert len(basis) == len(set(basis)) == koszul_basis_size(complex_)
+
+    @pytest.mark.parametrize("name", ["p28", "RP2", "truncated-simplex 5 2"])
+    def test_named(self, name):
+        self.check(NAMED[name])
+
+    def test_corpus_sample(self, small_corpus):
+        for complex_ in small_corpus:
+            self.check(complex_)
+
+
 class TestPieceOracle:
     """The coreduction pass against the per-degree reduction, piece by piece.
 
