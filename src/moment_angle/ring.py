@@ -4,14 +4,18 @@ A class living on the full subcomplex over I pairs with one over J through
 the juxtaposition product: zero unless I and J are disjoint, otherwise the
 value on a simplex of K_{I union J} splits the simplex into its I-part and
 J-part and multiplies the factor values with the sign of the shuffle sorting
-them back together.  This realizes the cup product of the moment-angle
-complex up to a per-class sign the sources leave free, so every golden
-assertion downstream is stated up to sign or as a rank condition.
-
-At the cochain level the product commutes up to (-1)^{(d1+1)(d2+1)} in the
-reduced degrees (NOT the moment-angle total degrees: making the total-degree
-sign literal would need a normalization of the degree-shifting isomorphism
-that is not pinned down anywhere), and it is associative on the nose.
+them back together.  It is associative on the nose, and it commutes as
+h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees d1, d2, which is the
+rule the stored products obey.  That is NOT graded commutativity in the
+moment-angle total degrees |J| + d + 1, and no per-class sign can make it
+so: changing the sign of a class changes g.h and h.g alike, so the
+commutation sign of two blocks does not depend on the basis.  The
+structure constants therefore differ from the cup product of the
+moment-angle complex by a sign on some pairs of blocks.  If that sign
+depends only on the two blocks, every t-fold product is off by a sign at
+most, so ranks of product spans over Q, the unimodularity of the pairing
+and the existence of top products do not see it; the golden assertions
+downstream are stated as those.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .complexes import SimplicialComplex
 from .errors import BasisMismatch, DegreeMismatch, NotACocycle, NotASubcomplex, TorsionWarning
 from .hochster import BigradedBetti, bigraded_betti
 from .homology import Abelian, ChainComplexZ, CohomologyBasis, Expression
-from .snf import identity, is_unimodular_square, smith_normal_form
+from .snf import identity, is_unimodular_square, row_basis
 
 
 class HochsterClass:
@@ -192,9 +196,11 @@ class RingPresentation:
     have consecutive ids.  ``products`` is sparse: it holds only the pairs
     ``(g, h)`` whose product is nonzero, mapped to the (generator id,
     coefficient) pairs expressing the product of the free representatives,
-    and it is kept in ascending ``(g, h)`` order.  Read products through
-    ``product()``, which gives ``()`` for every other pair.  Torsion blocks
-    are excluded with a warning.
+    and it is kept in ascending ``(g, h)`` order.  Each unordered pair is
+    multiplied once and both orders are stored from that one product, the
+    second by the reduced-degree commutation sign of the module docstring.
+    Read products through ``product()``, which gives ``()`` for every other
+    pair.  Torsion blocks are excluded with a warning.
 
     Blocks whose full subcomplexes have the same shape
     (:meth:`.SimplicialComplex.subset_shape`) share one
@@ -333,8 +339,11 @@ def ring_presentation(
     # free generators has no coordinates, so the pairs are found from the
     # free targets: for a target (T, d), every nonempty proper submask s1
     # of T with a block (s1, d1) pairs with the block (T ^ s1, d - d1 - 1),
-    # if there is one.  Targets come in block order, not in (g, h) order,
-    # so the products are sorted once at the end.
+    # if there is one.  Of s1 and T ^ s1 only the one holding T's lowest
+    # vertex is walked, so each unordered pair is multiplied once and h.g
+    # is stored from g.h by the commutation sign below.  Targets come in
+    # block order, not in (g, h) order, so the products are sorted once at
+    # the end.
     blocks = presentation._blocks
     by_subset = {}  # subset -> {degree: gid range}
     for (subset, d), gids in blocks.items():
@@ -345,18 +354,25 @@ def ring_presentation(
     for target, target_degrees in by_subset.items():
         if max(target_degrees) <= 2 * low:
             continue
-        s1 = (target - 1) & target
-        while s1:
+        lowest = target & -target
+        rest = target ^ lowest
+        part = rest  # s1 = part | lowest for every proper submask part of rest
+        while part:
+            part = (part - 1) & rest
+            s1 = part | lowest
             left = by_subset.get(s1)
             right = left and by_subset.get(target ^ s1)
-            s1 = (s1 - 1) & target
             if not right:
                 continue
             for d1, gids1 in left.items():
                 for d in target_degrees:
-                    gids2 = right.get(d - d1 - 1)
+                    d2 = d - d1 - 1
+                    gids2 = right.get(d2)
                     if gids2 is None:
                         continue
+                    # h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees
+                    # (TestStarProductLaws pins it on cochains)
+                    flip = d1 % 2 == 0 and d2 % 2 == 0
                     for g in generators[gids1.start : gids1.stop]:
                         for h in generators[gids2.start : gids2.stop]:
                             prod = star_product(g.cls, h.cls, complex_)
@@ -365,6 +381,9 @@ def ring_presentation(
                             terms = tuple(presentation.express_class(prod))
                             if terms:
                                 products[(g.gid, h.gid)] = terms
+                                products[(h.gid, g.gid)] = (
+                                    tuple((gid, -c) for gid, c in terms) if flip else terms
+                                )
     presentation.products = dict(sorted(products.items()))
     return presentation
 
@@ -379,8 +398,11 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
     every block, and level k multiplies each level k - 1 basis vector by
     every generator whose products with the vector's block are stored.
     Products over overlapping supports vanish, so no generator meets
-    itself.  Each block's rows are cut down to a basis over Q.  Returns
-    ``{p: rank}`` with the degrees of rank 0 left out.
+    itself.  Both orders of every pair are stored (from one multiplication
+    each, see :class:`RingPresentation`), so the fold needs only the right
+    factors.  Each block's rows are cut down to a basis over Q by
+    :func:`.snf.row_basis`; a rank over Q does not depend on which basis
+    is kept.  Returns ``{p: rank}`` with the degrees of rank 0 left out.
     """
     generators = presentation.generators
     blocks = presentation._blocks
@@ -407,16 +429,7 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
                     row = [acc.get(gid, 0) for gid in blocks[key]]
                     if any(row):
                         rows.setdefault(key, []).append(row)
-        level = {}
-        for key, block_rows in rows.items():
-            # a basis has at most ``width`` rows, so feeding the rows in
-            # batches of that size keeps each tracked transform small
-            width = len(blocks[key])
-            basis = []
-            for i in range(0, len(block_rows), width):
-                snf = smith_normal_form(basis + block_rows[i : i + width])
-                basis = snf.v_inv[: snf.rank]
-            level[key] = basis
+        level = {key: row_basis(block_rows) for key, block_rows in rows.items()}
     ranks = {}
     for (s, d), basis in level.items():
         p = s.bit_count() + d + 1

@@ -12,6 +12,10 @@ entry growth is merely slow, never wrong.  One dense pivot loop,
   matrices spend almost all their rank, so the dense loop only sees a tiny
   core.
 
+Row spaces over Q need no Smith form: :func:`row_basis` cuts a list of rows
+down to a basis of their span by fraction-free elimination, with nothing
+tracked.
+
 A fill-free pivot is a +-1 entry alone in its row or in its column:
 eliminating it changes no other entry.  :func:`_sparse_unit_reduction`
 sweeps the matrix for them, in row order, until a sweep eliminates nothing;
@@ -36,6 +40,7 @@ costs little in the cubic dense loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 Matrix = list  # list[list[int]]
 
@@ -237,6 +242,34 @@ def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = Non
 def _diag_snf(d: Matrix) -> list:
     """Nonzero Smith diagonal of a dense matrix, reduced in place, untracked."""
     return _reduce(d, len(d), len(d[0]) if d else 0)
+
+
+def row_basis(rows) -> Matrix:
+    """A basis over Q of the span of ``rows``, fraction free and untracked.
+
+    Each row is eliminated against the kept rows at their pivot columns, in
+    the order they were kept; a row that becomes zero is dropped, and any
+    other is kept with its first nonzero column as its pivot, divided by its
+    content so that the pivot is positive.  Every kept row is zero at the
+    pivots of the rows kept before it, so the kept rows are independent.
+    """
+    basis = []
+    pivots = []
+    for r in rows:
+        for b, j in zip(basis, pivots):
+            a = r[j]
+            if a:
+                p = b[j]
+                r = [p * x - a * y for x, y in zip(r, b)]
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        content = gcd(*r)
+        if r[pivot] < 0:
+            content = -content
+        basis.append([x // content for x in r])
+        pivots.append(pivot)
+    return basis
 
 
 def _eliminate(rows_map: dict, cols_map: dict, pr, pc) -> None:

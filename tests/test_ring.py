@@ -213,8 +213,8 @@ SPAN_INPUTS = [
     # three of the hexagon's vertices span three points, so the block over
     # them and the S^0 holds a rank-2 span of products
     pytest.param(polygon(6).join(two_points()), id="polygon6*s0"),
-    # a graph whose degree-10 block needs rows from more than one batch of
-    # the row reduction in product_span_rank
+    # a graph whose degree-10 block gets more rows than it has generators,
+    # so row_basis drops dependent rows there
     pytest.param(
         SimplicialComplex(
             8,
@@ -392,8 +392,17 @@ PAIR_SET_INPUTS = [
 ]
 
 
+def reversed_terms(presentation, g, h):
+    """What ``(h, g)`` must hold given ``(g, h)``: the reduced-degree sign rule."""
+    terms = presentation.products[(g, h)]
+    d1, d2 = presentation.generators[g].degree, presentation.generators[h].degree
+    if (d1 + 1) * (d2 + 1) % 2:
+        return tuple((gid, -c) for gid, c in terms)
+    return terms
+
+
 class TestTargetWalk:
-    """Splitting each target block finds the pairs of the all-pairs scan."""
+    """Splitting each target block finds each pair of the all-pairs scan once."""
 
     @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
     @pytest.mark.parametrize("complex_", PAIR_SET_INPUTS)
@@ -406,10 +415,20 @@ class TestTargetWalk:
 
         monkeypatch.setattr(ring, "star_product", recording)
         presentation = ring_presentation(complex_)
-        gid_of = {id(g.cls): g.gid for g in presentation.generators}
-        walked = sorted((gid_of[id(c1)], gid_of[id(c2)]) for c1, c2 in factors)
-        assert walked == all_block_pairs(presentation)
-        assert list(presentation.products) == sorted(presentation.products)
+        generators = presentation.generators
+        gid_of = {id(g.cls): g.gid for g in generators}
+        walked = [(gid_of[id(c1)], gid_of[id(c2)]) for c1, c2 in factors]
+        # each pair in exactly one of its two orders
+        assert sorted(walked + [(h, g) for g, h in walked]) == all_block_pairs(presentation)
+        # the walked left factor holds the target's lowest vertex
+        for g, h in walked:
+            target = generators[g].subset | generators[h].subset
+            assert generators[g].subset & target & -target
+        # the other order is stored from the same multiplication
+        products = presentation.products
+        for g, h in products:
+            assert products[(h, g)] == reversed_terms(presentation, g, h)
+        assert list(products) == sorted(products)
 
 
 class TestBlockProducts:
@@ -423,6 +442,19 @@ class TestBlockProducts:
         for (g, h), terms in reference.items():
             if not terms:
                 assert presentation.product(g, h) == ()
+
+    @pytest.mark.parametrize(
+        ("complex_", "count"), [(construct_p28_8(), 3), (polygon(8), 154)], ids=["p28", "polygon8"]
+    )
+    def test_oracle_inputs_hold_negated_reverses(self, complex_, count):
+        """The two-orders oracle above sees pairs whose reverse flips sign."""
+        products = ring_presentation(complex_).products
+        negated = [
+            (g, h)
+            for (g, h), terms in products.items()
+            if g < h and products[(h, g)] == tuple((gid, -c) for gid, c in terms)
+        ]
+        assert len(negated) == count
 
     def test_polygon_10_golden(self):
         presentation = ring_presentation(polygon(10))

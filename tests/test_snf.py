@@ -1,6 +1,7 @@
 """Smith normal form: recomposition, unimodularity, divisor chains."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from moment_angle.snf import (
     invariant_factors_sparse,
     is_unimodular_square,
     matmul,
+    row_basis,
     smith_normal_form,
 )
 
@@ -208,3 +210,54 @@ class TestSparseReduction:
         assert invariant_factors_sparse({0: {}, 3: {}}) == []
         assert invariant_factors([[0, 0], [0, 0]]) == []
         assert invariant_factors([]) == []
+
+
+@st.composite
+def spanning_rows(draw, max_cols=6, max_rows=12):
+    """Small integer rows with zero rows, repeats, negations and combinations.
+
+    Up to twice as many rows as columns, so the span is often full and most
+    rows are dependent on the ones before them.
+    """
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_rows))):
+        kind = rnd.choice(("fresh", "fresh", "zero", "repeat", "negate", "combine"))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([0] * cols)
+        elif kind == "fresh":
+            rows.append([rnd.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(cols)])
+        elif kind == "repeat":
+            rows.append(list(rnd.choice(rows)))
+        elif kind == "negate":
+            rows.append([-x for x in rnd.choice(rows)])
+        else:
+            a, b = rnd.choice(rows), rnd.choice(rows)
+            p, q = rnd.choice((1, -2, 3)), rnd.choice((1, -1, 4))
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+    return rows
+
+
+class TestRowBasis:
+    @given(spanning_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_basis_of_the_row_span(self, rows):
+        basis = row_basis(rows)
+        assert len(basis) == len(invariant_factors(rows))
+        for row in rows:
+            assert len(invariant_factors(basis + [row])) == len(basis)
+        for kept in basis:
+            pivot = next(x for x in kept if x)
+            assert pivot > 0
+            assert gcd(*kept) == 1
+
+    def test_known_rows(self):
+        assert row_basis([[0, -2, 4], [0, 0, 0], [0, 1, -2], [3, 0, 6]]) == [
+            [0, 1, -2],
+            [1, 0, 2],
+        ]
+
+    def test_empty_and_zero_inputs(self):
+        assert row_basis([]) == []
+        assert row_basis([[0, 0], [0, 0]]) == []
