@@ -147,6 +147,41 @@ class ChainComplexZ:
     def _coreduced_factors(self) -> dict:
         """One reduction pass over all degrees, then elimination of the rest.
 
+        The pass (:meth:`_reduction_pass`) pairs off elements; each pair
+        adds one unit factor to the map out of its upper element's degree.
+        The leftover elements keep their restricted columns and are reduced
+        degree by degree with :func:`invariant_factors_sparse`.
+        """
+        table = {d: [] for d in range(self.bottom, self.top + 2)}
+        if self.simplicial and self.top <= 1:
+            return self._graph_factors(table)
+        faces, columns = self.faces, self.columns
+        alive, critical = self._reduction_pass()
+        # A pair takes its upper element from degree d and its lower one
+        # from d - 1; count the pairs into each degree from the top down.
+        pairs_above = 0
+        for d in range(self.top, self.bottom - 1, -1):
+            fs = faces.get(d, ())
+            left = [f for f in fs if f in alive]
+            pairs = len(fs) - len(left) - pairs_above - (critical if d == 0 else 0)
+            pairs_above = pairs
+            rows = {}
+            for f in left:
+                row = {g: c for g, c in columns[f].items() if g in alive}
+                if row:
+                    rows[f] = row
+            table[d] = [1] * pairs
+            if rows:
+                table[d] += invariant_factors_sparse(rows)
+        return table
+
+    def _reduction_pass(self) -> tuple:
+        """``(alive, critical)`` after pairing off all it can, across degrees.
+
+        ``alive`` maps each element left to how many elements left its
+        column names, and ``critical`` counts the vertices dropped as free
+        generators of H~_0 (simplicial complexes only).
+
         Two moves remove a pair of basis elements, one from degree d and one
         from d - 1, whose entry in the restricted d-th boundary is +-1:
 
@@ -170,14 +205,9 @@ class ChainComplexZ:
         first out.  The order changes no factor, only how far the moves
         reach: newest first left 85,113 elements of the largest Taylor
         stratum of the 8-cycle with chords {1,5}, {2,6} for elimination,
-        oldest first leaves 3.  The leftover elements keep their restricted
-        columns and are reduced degree by degree with
-        :func:`invariant_factors_sparse`.
+        oldest first leaves 3.
         """
         faces, columns = self.faces, self.columns
-        table = {d: [] for d in range(self.bottom, self.top + 2)}
-        if self.simplicial and self.top <= 1:
-            return self._graph_factors(table)
         # alive: element -> how many elements still present its column names;
         # columns name only basis elements, since a subcomplex is closed
         # under the boundary
@@ -254,23 +284,7 @@ class ChainComplexZ:
                             up[h] = n - 1
                             if n == 2:
                                 free.append(h)
-        # A pair takes its upper element from degree d and its lower one
-        # from d - 1; count the pairs into each degree from the top down.
-        pairs_above = 0
-        for d in range(self.top, self.bottom - 1, -1):
-            fs = faces.get(d, ())
-            left = [f for f in fs if f in alive]
-            pairs = len(fs) - len(left) - pairs_above - (critical if d == 0 else 0)
-            pairs_above = pairs
-            rows = {}
-            for f in left:
-                row = {g: c for g, c in columns[f].items() if g in alive}
-                if row:
-                    rows[f] = row
-            table[d] = [1] * pairs
-            if rows:
-                table[d] += invariant_factors_sparse(rows)
-        return table
+        return alive, critical
 
     def _graph_factors(self, table: dict) -> dict:
         """Factors of a simplicial complex of dimension at most 1, a graph.
@@ -325,6 +339,39 @@ class ChainComplexZ:
     def cohomology(self) -> dict:
         """Cohomology groups; torsion comes from the map one degree lower."""
         return self._groups(0)
+
+    def summand_homology(self, summand_of) -> dict:
+        """Homology of each direct summand, from one reduction pass over the sum.
+
+        ``summand_of`` maps each element to the key of its summand, and no
+        column may name an element of another summand; the complex must not
+        be simplicial, whose pass also drops vertices.  Both moves of the
+        pass pair two elements of one summand and change nothing elsewhere,
+        so each summand is left as its own pass would leave it.  A summand
+        whose survivors have empty restricted columns has one free generator
+        per survivor; the others are reduced again as the complex of their
+        survivors.  Returns ``{key: {d: group}}`` with nonzero groups only,
+        so summands with zero homology are absent.
+        """
+        alive, _ = self._reduction_pass()
+        columns = self.columns
+        survivors: dict = {}  # key -> d -> survivors
+        for d, fs in self.faces.items():
+            for f in fs:
+                if f in alive:
+                    survivors.setdefault(summand_of(f), {}).setdefault(d, []).append(f)
+        out = {}
+        for key, faces in survivors.items():
+            kept = [f for fs in faces.values() for f in fs]
+            if any(alive[f] for f in kept):
+                rest = {f: {g: c for g, c in columns[f].items() if g in alive} for f in kept}
+                groups = ChainComplexZ(faces, rest).homology()
+                groups = {d: group for d, group in groups.items() if not group.is_zero}
+            else:
+                groups = {d: Abelian(len(fs), ()) for d, fs in faces.items()}
+            if groups:
+                out[key] = groups
+        return out
 
 
 def reduced_homology(complex_: SimplicialComplex) -> dict:

@@ -5,9 +5,12 @@ tensored with the face ring by the relations v_i^2 = u_i v_i = 0.  Its basis
 is the set of pairs (sigma, tau) of disjoint vertex sets with tau a face,
 encoded as the integer ``sigma | tau << m``; the differential replaces one
 exterior variable by its polynomial shadow and keeps only face-monomial
-targets.  One pass over the faces gives every face tau its up-mask, the
-vertices v with tau + v a face, so the column of u_sigma v_tau is one loop
-over the bits of ``up[tau] & sigma``, run for one piece at a time.
+targets, so it keeps the multidegree J = sigma + tau.  The piece of J has
+one monomial per face of the full subcomplex K_J and depends only on K_J's
+shape (Hochster's formula reads its cohomology off K_J; Buchstaber and
+Panov, *Toric Topology*, 2015, sections 3.2-3.3).  One pass over the faces
+gives every face tau its up-mask, the vertices v with tau + v a face, so
+the column of u_sigma v_tau is one loop over the bits of ``up[tau] & sigma``.
 
 Taylor route: Lyubeznik's subcomplex of the Taylor complex on the missing
 faces (Lyubeznik 1988; Mermin, "Three simplicial resolutions", 2012).  A
@@ -18,20 +21,22 @@ one factor and keeps the term only when the union of the rest is unchanged,
 so it preserves the support and homology can be computed one support
 stratum at a time.
 
-Each Koszul piece (fixed j) and Taylor stratum (fixed support) becomes a
-:class:`ChainComplexZ`, after d o d = 0 is checked on every basis element
-(:func:`_check_square`, shared by both); :func:`koszul_pieces` and
-:func:`taylor_strata` yield them one at a time, building each one's columns
-only when it is yielded.
-Both deliver groups per Tor bidegree (-i, 2j), recorded here as (i, j).
+Koszul pieces (fixed J) and Taylor strata (fixed support) become
+:class:`ChainComplexZ` objects after d o d = 0 is checked on every basis
+element (:func:`_check_square`, shared by both).  :func:`koszul_bigraded`
+builds one piece per shape of K_J, the pieces of one size |J| as one direct
+sum reduced in one pass; :func:`koszul_pieces` builds every J's piece on
+its own, and :func:`taylor_strata` yields the strata one at a time.
+Both deliver groups per multidegree and per Tor bidegree (-i, 2j), recorded
+here as (i, J) and (i, j).
 Both refuse, before building any complex, a basis over its budget:
-``KOSZUL_BASIS_CAP`` monomials, counted up front, or ``TAYLOR_BASIS_CAP``
-admissible monomials, counted as they are enumerated.
+``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_BASIS_CAP`` admissible
+monomials, each counted up front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
@@ -46,9 +51,14 @@ KOSZUL_BASIS_CAP = 1 << 22
 
 @dataclass
 class TorTable:
-    """Nonzero Tor groups keyed by (i, j), meaning bidegree (-i, 2j)."""
+    """Nonzero Tor groups keyed by (i, j), meaning bidegree (-i, 2j).
+
+    ``multigraded``, when filled in, splits them by multidegree: the nonzero
+    groups keyed (i, J), J a vertex mask with |J| = j.
+    """
 
     entries: dict
+    multigraded: dict = field(default_factory=dict, compare=False, repr=False)
 
     def group(self, i: int, j: int) -> Abelian:
         return self.entries.get((i, j), ZERO_GROUP)
@@ -65,10 +75,14 @@ def _check_square(columns: dict, method: str) -> dict:
     square raises :class:`NotAChainComplex`.
     """
     for key, column in columns.items():
-        square: dict = {}
-        for mid, sign in column.items():
-            for low, sign2 in columns[mid].items():
-                square[low] = square.get(low, 0) + sign * sign2
+        if len(column) == 1:  # c * mid, c != 0, squares to c * d(mid): nothing cancels
+            (mid,) = column
+            square = columns[mid]
+        else:
+            square = {}
+            for mid, sign in column.items():
+                for low, sign2 in columns[mid].items():
+                    square[low] = square.get(low, 0) + sign * sign2
         if any(square.values()):
             raise NotAChainComplex(f"{method} d*d != 0 on {key}")
     return columns
@@ -132,60 +146,90 @@ def _koszul_columns(basis: dict, up: dict, m: int) -> dict:
     return columns
 
 
-def koszul_pieces(complex_: SimplicialComplex) -> Iterator[tuple]:
-    """The Koszul quotient algebra as ``(j, ChainComplexZ)`` pieces of fixed j.
-
-    d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
-    the term dropped whenever tau + v is not a face.  d preserves j = |sigma|
-    + |tau| and lowers i = |sigma| by one.  The monomial u_sigma v_tau is the
-    integer ``sigma | tau << m``.
-
-    One pass over the faces records each face's up-mask (the vertices v with
-    tau + v a face) and sorts the monomials into their pieces.  A piece's
-    columns are built from the up-masks (:func:`_koszul_columns`) only when
-    it is yielded, and d o d = 0 is checked on every monomial before any
-    reduction.  Within a piece, degrees come in the order their face sizes
-    first occur and monomials in enumeration order: the reduction pass
-    meets elements in basis order, which changes how far its moves reach,
-    though not the groups.
-    """
-    check_koszul_budget(complex_)
-    faces = complex_.face_set()
-    m = complex_.m
-    full = (1 << m) - 1
-    up = dict.fromkeys(faces, 0)
-    pieces = [[[] for _ in range(j + 1)] for j in range(m + 1)]  # [j][i] -> monomials
-    sizes = {}  # face sizes in the order they first occur
-    for tau in faces:
+def _up_masks(complex_: SimplicialComplex) -> dict:
+    """Each face's up-mask: the vertices v outside it with face + v a face."""
+    up = dict.fromkeys(complex_.face_set(), 0)
+    for tau in up:
         bits = tau
         while bits:
             bit = bits & -bits
             bits ^= bit
             up[tau ^ bit] |= bit
-        size = tau.bit_count()
-        sizes.setdefault(size)
-        shifted = tau << m
-        rest = full & ~tau
-        sub = rest
-        while True:
-            i = sub.bit_count()
-            pieces[i + size][i].append(sub | shifted)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+    return up
 
-    for j, row in enumerate(pieces):
-        basis = {j - size: row[j - size] for size in sizes if size <= j}
-        yield j, ChainComplexZ(basis, _check_square(_koszul_columns(basis, up, m), "koszul"))
+
+def _koszul_sum(complex_: SimplicialComplex, subsets, up: dict) -> ChainComplexZ:
+    """The direct sum of the pieces of multidegree J in ``subsets``, d o d = 0 checked.
+
+    The piece of J has one monomial u_{J - tau} v_tau for each face tau of
+    K_J, in degree i = |J - tau|.  Degrees ascend in i; each lists the
+    pieces in the order of ``subsets``, and each piece its faces in
+    :meth:`.SimplicialComplex.subset_faces_by_dim` order.  The reduction
+    pass meets elements in basis order, which changes how far its moves
+    reach, though not the groups.
+    """
+    m = complex_.m
+    basis: dict = {}
+    for subset in subsets:
+        top = subset.bit_count() - 1  # a face of dimension d sits in degree top - d
+        for d, faces in complex_.subset_faces_by_dim(subset).items():
+            basis.setdefault(top - d, []).extend([subset ^ tau | tau << m for tau in faces])
+    basis = dict(sorted(basis.items()))
+    return ChainComplexZ(basis, _check_square(_koszul_columns(basis, up, m), "koszul"))
+
+
+def koszul_pieces(complex_: SimplicialComplex) -> Iterator[tuple]:
+    """The Koszul quotient algebra as ``(J, ChainComplexZ)`` pieces, one per J.
+
+    d(u_sigma v_tau) = sum over v in sigma of sign * u_{sigma - v} v_{tau + v},
+    the term dropped whenever tau + v is not a face.  d preserves the
+    multidegree J = sigma + tau and lowers i = |sigma| by one.  The monomial
+    u_sigma v_tau is the integer ``sigma | tau << m``, and J is a vertex mask.
+
+    Every one of the 2^m pieces is built on its own, by the builder
+    :func:`koszul_bigraded` uses (:func:`_koszul_sum`): columns read off the
+    up-masks (:func:`_koszul_columns`) and d o d = 0 checked on every
+    monomial, when the piece is yielded.
+    """
+    check_koszul_budget(complex_)
+    up = _up_masks(complex_)
+    for subset in range(1 << complex_.m):
+        yield subset, _koszul_sum(complex_, (subset,), up)
 
 
 def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
-    """Cohomology of the Koszul quotient algebra, one piece of fixed j at a time."""
-    entries = {}
-    for j, cc in koszul_pieces(complex_):
-        for i, group in _nonzero_homology(cc).items():
-            entries[(i, j)] = group
-    return TorTable(entries={key: entries[key] for key in sorted(entries)})
+    """Cohomology of the Koszul quotient algebra, one multidegree J at a time.
+
+    The piece of J is K_J's Koszul complex read in the order of J's
+    vertices, so it depends only on :meth:`.SimplicialComplex.subset_shape`:
+    the order-preserving relabeling keeps every sign.  The walk keys each of
+    the 2^m subsets by its shape, and only the first J of a shape builds its
+    piece.  The pieces of one size |J| are built as one direct sum
+    (:func:`_koszul_sum`, where d o d = 0 is checked on every monomial) and
+    reduced in one pass (:meth:`.ChainComplexZ.summand_homology`); every J
+    of a shape takes its first J's groups.  They land in ``multigraded`` by
+    (i, J) and are summed into the bidegree (i, |J|).
+    """
+    check_koszul_budget(complex_)
+    m = complex_.m
+    full = (1 << m) - 1
+    up = _up_masks(complex_)
+    by_shape: dict = {}  # shape -> the subsets with it, in increasing order
+    for subset in range(1 << m):
+        by_shape.setdefault(complex_.subset_shape(subset), []).append(subset)
+    by_size: list = [[] for _ in range(m + 1)]
+    for subsets in by_shape.values():
+        by_size[subsets[0].bit_count()].append(subsets)
+    multigraded = {}
+    for classes in by_size:
+        cc = _koszul_sum(complex_, [subsets[0] for subsets in classes], up)
+        groups = cc.summand_homology(lambda mono: mono & full | mono >> m)
+        for subsets in classes:
+            for i, group in groups.get(subsets[0], {}).items():
+                for subset in subsets:
+                    multigraded[(i, subset)] = group
+    entries = sum_groups(((i, s.bit_count()), group) for (i, s), group in multigraded.items())
+    return TorTable(entries=entries, multigraded=multigraded)
 
 
 # -- Taylor complex on the missing faces ---------------------------------------
@@ -216,24 +260,42 @@ def lyubeznik_supports(missing: tuple) -> dict:
     missing face inside m_{i_t} u ... u m_{i_k} is m_{i_t} itself.  The sets
     are grown depth first by putting a lower position in front of an
     admissible one; a set that fails never becomes admissible again, so it
-    is not extended.  More than ``TAYLOR_BASIS_CAP`` monomials (the empty
-    one included) raise :class:`CapExceeded` as soon as the count passes it.
+    is not extended.  More than ``TAYLOR_BASIS_CAP`` admissible sets (the
+    empty one included) raise :class:`CapExceeded` before any is stored.
+    The r positions have 2^r subsets; when that is over the budget, the
+    admissible sets are counted first, one count per lowest position and
+    support, since those decide which positions may go in front.
     """
 
     @cache
     def first_inside(union: int) -> int:
         return next(q for q, face in enumerate(missing) if face & ~union == 0)
 
+    @cache
+    def count(low: int, support: int) -> int:
+        # each position put in front adds a vertex to the support, so this
+        # recurses at most m deep
+        n = 1
+        for i in range(low):
+            union = support | missing[i]
+            if first_inside(union) == i:
+                n += count(i, union)
+        return n
+
+    size = 1 << len(missing)
+    if size > TAYLOR_BASIS_CAP:
+        size = 1 + sum(count(j, face) for j, face in enumerate(missing))
+    if size > TAYLOR_BASIS_CAP:
+        raise CapExceeded(
+            f"the Lyubeznik subcomplex of the Taylor complex on {len(missing)} missing "
+            f"faces has {size} monomials; more than {TAYLOR_BASIS_CAP} monomials are "
+            "refused"
+        )
     supports = {0: 0}
     stack = [(1 << j, face) for j, face in enumerate(missing)]
     while stack:
         mono, support = stack.pop()
         supports[mono] = support
-        if len(supports) > TAYLOR_BASIS_CAP:
-            raise CapExceeded(
-                f"the Lyubeznik subcomplex of the Taylor complex on {len(missing)} missing "
-                f"faces has more than {TAYLOR_BASIS_CAP} monomials; refusing"
-            )
         for i in range((mono & -mono).bit_length() - 1):
             union = support | missing[i]
             if first_inside(union) == i:
@@ -309,11 +371,35 @@ class CrossCheckReport:
         return self.ok
 
 
+def _check_refinement(method: str, groups: dict, table) -> int:
+    """Compare groups keyed (i, J) with the subset entries (J, |J| - i - 1).
+
+    Both ways: every group in ``groups`` must equal its subset entry, and
+    every nonzero subset entry must have its group.  Returns how many groups
+    were compared.
+    """
+    for (i, subset), group in groups.items():
+        d = subset.bit_count() - i - 1
+        if table.group(subset, d) != group:
+            raise MethodDisagreement(
+                (i, vertices_of(subset)),
+                f"{method} {group.describe()} vs subset {table.group(subset, d).describe()}",
+            )
+    for (subset, d), group in table.entries.items():
+        i = subset.bit_count() - d - 1
+        if (i, subset) not in groups and not group.is_zero:
+            raise MethodDisagreement(
+                (i, vertices_of(subset)), f"subset has {group.describe()}, {method} empty"
+            )
+    return len(groups)
+
+
 def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCheckReport:
     """Assert the subset, Koszul and Taylor computations agree everywhere.
 
     Comparison is per Tor bidegree for all three, and additionally per
-    support stratum between the Taylor table and the subset table.  Raises
+    multidegree J against the subset table: each Koszul group (i, J) and
+    each Taylor stratum (r, S) with its subset entry, both ways.  Raises
     MethodDisagreement at the first difference; this is a bug signal, not a
     recoverable condition.  The Taylor side (Lyubeznik's subcomplex) runs
     first, so a complex over either basis budget raises CapExceeded before
@@ -326,7 +412,8 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     if table is None:
         table = bigraded_betti(complex_, **kwargs)
     hochster_table = table.tor_bidegrees()
-    koszul_table = koszul_bigraded(complex_).entries
+    koszul = koszul_bigraded(complex_)
+    koszul_table = koszul.entries
     taylor_table = taylor.bidegrees().entries
 
     keys = set(hochster_table) | set(koszul_table) | set(taylor_table)
@@ -339,23 +426,7 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
                 key, f"subset={h.describe()} koszul={k.describe()} taylor={t.describe()}"
             )
 
-    # per-support refinement: Taylor stratum (r, S) vs subset entry (S, |S|-r-1)
-    strata_checked = 0
-    seen = set(taylor.strata)
-    for (r, support), group in taylor.strata.items():
-        d = support.bit_count() - r - 1
-        if table.group(support, d) != group:
-            raise MethodDisagreement(
-                (r, vertices_of(support)),
-                f"taylor stratum {group.describe()} vs subset "
-                f"{table.group(support, d).describe()}",
-            )
-        strata_checked += 1
-    for (subset, d), group in table.entries.items():
-        r = subset.bit_count() - d - 1
-        if (r, subset) not in seen and not group.is_zero:
-            raise MethodDisagreement(
-                (r, vertices_of(subset)), f"subset has {group.describe()}, taylor empty"
-            )
+    _check_refinement("koszul piece", koszul.multigraded, table)
+    strata_checked = _check_refinement("taylor stratum", taylor.strata, table)
     agreed = {key: hochster_table.get(key, ZERO_GROUP) for key in sorted(keys)}
     return CrossCheckReport(ok=True, bidegrees=agreed, strata_checked=strata_checked)

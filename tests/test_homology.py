@@ -25,7 +25,7 @@ from moment_angle import (
 from moment_angle import homology
 from moment_angle.errors import NotACocycle, NotPure
 from moment_angle.homology import CohomologyBasis, merge_torsion
-from moment_angle.resolutions import koszul_pieces, taylor_strata
+from moment_angle.resolutions import koszul_bigraded, koszul_pieces, taylor_strata
 from moment_angle.snf import invariant_factors_sparse
 
 Z = Abelian(1, ())
@@ -133,6 +133,31 @@ class TestBasedFreeComplex:
         assert cc.homology() == {0: Abelian(0, (3,)), 1: Abelian(0, ())}
 
 
+class TestSummandHomology:
+    """One pass over a direct sum against each summand reduced alone."""
+
+    SUMMANDS = [RP2, polygon(5), boundary_simplex(3), two_points(), polygon(4).cone(5), EMPTY]
+
+    def test_each_summand_keeps_its_groups(self):
+        # summand k holds the faces of complex k as keys (k, face); not
+        # simplicial, so the pass neither drops vertices nor uses graph forms
+        faces: dict = {}
+        columns = {}
+        for k, complex_ in enumerate(self.SUMMANDS):
+            table = complex_.boundary_table()
+            for d, fs in complex_.faces_by_dim().items():
+                faces.setdefault(d, []).extend((k, f) for f in fs)
+                for f in fs:
+                    columns[(k, f)] = {(k, g): c for g, c in table[f].items()}
+        groups = ChainComplexZ(faces, columns).summand_homology(lambda key: key[0])
+        expected = {
+            k: nonzero(ChainComplexZ.of_complex(complex_).homology())
+            for k, complex_ in enumerate(self.SUMMANDS)
+        }
+        assert groups == {k: g for k, g in expected.items() if g}
+        assert groups[0] == {1: Abelian(0, (2,))}  # RP2's survivors are reduced again
+
+
 class TestCoreduction:
     """Shortcuts of the coreduction pass that only simplicial complexes take."""
 
@@ -170,6 +195,7 @@ class TestLeftoverCores:
             for pieces in (koszul_pieces(complex_), taylor_strata(complex_)):
                 for _, cc in pieces:
                     cc.boundary_factor_table()
+            koszul_bigraded(complex_)  # the shared pieces, one sum per |J|
         assert leftovers
         for entries in leftovers:
             column_sizes = {}

@@ -20,10 +20,12 @@ from moment_angle import (
     vertices_of,
 )
 from moment_angle import hochster, resolutions
-from moment_angle.errors import CapExceeded
+from moment_angle.errors import CapExceeded, MethodDisagreement
+from moment_angle.homology import sum_groups
 from moment_angle.resolutions import (
     KOSZUL_BASIS_CAP,
     TAYLOR_BASIS_CAP,
+    TorTable,
     koszul_pieces,
     lyubeznik_supports,
     taylor_strata,
@@ -177,6 +179,16 @@ class TestLyubeznik:
         if name.startswith("RP2"):
             assert any(group.torsion for group in expected.values())
 
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_count_before_enumeration_is_exact(self, name, monkeypatch):
+        missing = self.SAMPLES[name].missing_faces()
+        size = len(lyubeznik_supports(missing))
+        monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", size - 1)
+        with pytest.raises(CapExceeded, match=f"has {size} monomials"):
+            lyubeznik_supports(missing)
+        monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", size)
+        assert len(lyubeznik_supports(missing)) == size
+
     def test_basis_sizes(self, p28):
         assert TAYLOR_BASIS_CAP == 1 << 20
         for complex_, missing, admissible in [
@@ -228,11 +240,19 @@ class TestKoszulColumns:
 
     @staticmethod
     def check(complex_):
+        m = complex_.m
+        full = (1 << m) - 1
         basis = []
-        for j, cc in koszul_pieces(complex_):
+        for subset, cc in koszul_pieces(complex_):
+            # one monomial u_{J - tau} v_tau per face tau of K_J: degrees
+            # ascend in i, faces come in subset_faces_by_dim order
+            faces = complex_.subset_faces_by_dim(subset)
+            assert list(cc.faces) == sorted(cc.faces) and len(cc.faces) == len(faces)
             for i, monomials in cc.faces.items():
+                assert [mono >> m for mono in monomials] == faces[subset.bit_count() - i - 1]
                 for mono in monomials:
-                    assert (mono & ((1 << complex_.m) - 1)).bit_count() == i
+                    assert (mono & full) | mono >> m == subset
+                    assert (mono & full).bit_count() == i
                     assert cc.columns[mono] == textbook_koszul_column(complex_, mono), mono
                 basis += monomials
         assert len(basis) == len(set(basis)) == koszul_basis_size(complex_)
@@ -240,6 +260,36 @@ class TestKoszulColumns:
     @pytest.mark.parametrize("name", ["p28", "RP2", "truncated-simplex 5 2"])
     def test_named(self, name):
         self.check(NAMED[name])
+
+    def test_corpus_sample(self, small_corpus):
+        for complex_ in small_corpus:
+            self.check(complex_)
+
+
+class TestSharedPieces:
+    """The walk builds one piece per shape of K_J; each J built alone must agree.
+
+    :func:`koszul_pieces` builds all 2^m pieces, each on its own, through
+    the builder the walk uses, so a shape that does not fix the piece
+    (the walk trusting ``subset_shape`` blind) shows as a per-J difference.
+    """
+
+    @staticmethod
+    def check(complex_):
+        alone = {
+            (i, subset): group
+            for subset, cc in koszul_pieces(complex_)
+            for i, group in cc.homology().items()
+            if not group.is_zero
+        }
+        assert koszul_bigraded(complex_).multigraded == alone
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        complex_ = NAMED[name]
+        shapes = {complex_.subset_shape(subset) for subset in range(1 << complex_.m)}
+        assert len(shapes) < 1 << complex_.m  # some piece is shared
+        self.check(complex_)
 
     def test_corpus_sample(self, small_corpus):
         for complex_ in small_corpus:
@@ -285,6 +335,7 @@ class TestPieceOracle:
         strata = full_taylor_strata if name == "7-cycle+chord{1,4}" else taylor_strata
         for _, cc in [*koszul_pieces(complex_), *strata(complex_)]:
             cc.boundary_factor_table()
+        koszul_bigraded(complex_)  # the shared pieces, one sum per |J|
 
 
 class TestCrossCheck:
@@ -304,6 +355,41 @@ class TestCrossCheck:
     def test_corpus_sample(self, small_corpus):
         for complex_ in small_corpus:
             assert cross_check(complex_).ok
+
+    @pytest.mark.parametrize("name", ["p28", "RP2", "7-cycle+chords"])
+    def test_groups_swapped_between_two_j_of_one_size_fail(self, name, monkeypatch):
+        complex_ = NAMED[name]
+        table = koszul_bigraded(complex_)
+        by_subset = {}
+        for (i, subset), group in table.multigraded.items():
+            by_subset.setdefault(subset, {})[i] = group
+        a = next(subset for subset in by_subset if subset)
+        b = next(
+            subset
+            for subset in range(1 << complex_.m)
+            if subset.bit_count() == a.bit_count() and by_subset.get(subset) != by_subset[a]
+        )
+        swapped = {(i, s): g for (i, s), g in table.multigraded.items() if s not in (a, b)}
+        swapped.update({(i, b): g for i, g in by_subset[a].items()})
+        swapped.update({(i, a): g for i, g in by_subset.get(b, {}).items()})
+        # the bidegree comparison cannot see the swap
+        assert sum_groups(((i, s.bit_count()), g) for (i, s), g in swapped.items()) == table.entries
+        mutant = TorTable(entries=table.entries, multigraded=swapped)
+        monkeypatch.setattr(resolutions, "koszul_bigraded", lambda _complex: mutant)
+        with pytest.raises(MethodDisagreement, match="koszul piece"):
+            cross_check(complex_)
+
+    def test_a_dropped_group_fails(self, monkeypatch):
+        # the bidegrees are kept and every group left is right, so only the
+        # subset-to-Koszul direction of the comparison sees the loss
+        complex_ = polygon(5)
+        table = koszul_bigraded(complex_)
+        multigraded = dict(table.multigraded)
+        del multigraded[(1, mask_of((1, 3)))]
+        mutant = TorTable(entries=table.entries, multigraded=multigraded)
+        monkeypatch.setattr(resolutions, "koszul_bigraded", lambda _complex: mutant)
+        with pytest.raises(MethodDisagreement, match="subset has Z, koszul piece empty"):
+            cross_check(complex_)
 
     def test_disagreement_names_the_first_bad_bidegree(self):
         # feed a table with one corrupted rank through the public parameter
