@@ -3,11 +3,15 @@
 H^p of the moment-angle complex over a complex K on [m] splits as a direct
 sum of the reduced cohomology of all full subcomplexes K_J, one group per
 pair (J, d) with p = |J| + d + 1.  This module computes that table by
-enumerating subsets in increasing order, with two rules that make the
-enumeration fast:
+visiting the subsets in the table's own order, by size and then
+lexicographically, so every smaller subset comes before J.  Two rules make
+the walk fast:
 
 * a subcomplex whose missing faces do not cover its vertex set is a join
-  with a simplex, hence contractible, and contributes nothing;
+  with a simplex, hence contractible, and contributes nothing.  The union
+  of the missing faces inside J is that of J - h, h the highest vertex of
+  J, together with the missing faces inside J whose highest vertex is h,
+  so each subset's union is one step from one the walk has met;
 * if a vertex v of J has a nonempty cone for its link in K_J, then K_J
   strongly collapses onto K_{J - v} (Barmak and Minian, *Strong homotopy
   types, nerves and collapses*, DCG 2012).  Mayer-Vietoris over the star
@@ -21,6 +25,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, combinations, islice
+from math import comb
+from typing import Iterator
 
 from .bitsets import is_subset, iter_vertices, vertices_of
 from .complexes import SimplicialComplex
@@ -48,10 +56,12 @@ def _thread_default() -> int:
 class BigradedBetti:
     """Nonzero groups of the subset decomposition, keyed by (J mask, degree).
 
-    ``entries`` is kept in (|J|, lex J, degree) order, sorted once here.
-    Among subsets of one size, lex order is descending order of the mask
-    read with its bits reversed (vertex 1 the highest of m bits), so the
-    sort key needs no vertex tuple.
+    ``entries`` is kept in table order, (|J|, lex J, degree).  The
+    constructor sorts them once: among subsets of one size, lex order is
+    descending order of the mask read with its bits reversed (vertex 1 the
+    highest of m bits), so the sort key needs no vertex tuple.  The sweep
+    visits subsets in table order already and builds its table with
+    :meth:`_in_table_order`, which skips the sort.
     """
 
     m: int
@@ -66,6 +76,13 @@ class BigradedBetti:
             return (subset.bit_count(), -int(bin(subset)[:1:-1].ljust(m, "0"), 2), d)
 
         self.entries = {k: self.entries[k] for k in sorted(self.entries, key=key)}
+
+    @classmethod
+    def _in_table_order(cls, m: int, dim: int, entries: dict) -> "BigradedBetti":
+        """A table of ``entries`` that are in table order already, not sorted again."""
+        table = object.__new__(cls)
+        table.m, table.dim, table.entries = m, dim, entries
+        return table
 
     def group(self, subset: int, d: int) -> Abelian:
         return self.entries.get((subset, d), ZERO_GROUP)
@@ -111,21 +128,56 @@ def total_json(totals: dict) -> list:
     ]
 
 
-def _covered(subset: int, missing: tuple) -> bool:
-    """Whether the members of ``missing`` inside ``subset`` cover it."""
-    covered = 0
-    outside = ~subset
-    for mf in missing:
-        if not mf & outside:
-            covered |= mf
-            if covered == subset:
-                return True
-    return covered == subset
+def _covered_by_missing(subset: int, unions, by_top: list) -> bool:
+    """The cover test of the sweep: do the missing faces inside ``subset`` cover it?
+
+    With h the highest vertex of J, the union of the missing faces inside J
+    is that of J - h together with the missing faces whose highest vertex
+    is h and that lie inside J.  ``unions`` holds the union of every subset
+    visited so far, J - h among them, and gets J's.  ``by_top[t]`` is the
+    missing faces whose highest vertex is t: the other ends of its edges
+    as one mask, since an edge {a, h} lies inside J exactly when a does,
+    and the larger faces as a tuple.  This stays one call per visited
+    subset, not a loop inlined into the sweep, because
+    ``perfbench/tracing.py`` counts the subsets visited and kept by
+    patching this function.
+    """
+    top = subset.bit_length()
+    high = 1 << top >> 1
+    union = unions[subset ^ high]
+    ends, faces = by_top[top]
+    if ends & subset:
+        union |= ends & subset | high
+    for face in faces:
+        if face & subset == face:
+            union |= face
+    unions[subset] = union
+    return union == subset
 
 
-def _covered_by_missing(subset: int, missing: tuple) -> bool:
-    """The cover test of the sweep, called once per subset visited."""
-    return _covered(subset, missing)
+def _missing_by_top(missing: tuple, m: int) -> list:
+    """The ``by_top`` table of :func:`_covered_by_missing`, t = 0 .. m."""
+    by_top = [(0, ())] * (m + 1)
+    for face in missing:
+        top = face.bit_length()
+        ends, faces = by_top[top]
+        if face.bit_count() == 2:
+            by_top[top] = (ends | face ^ 1 << top >> 1, faces)
+        else:
+            by_top[top] = (ends, (*faces, face))
+    return by_top
+
+
+def _missing_union(subset: int, missing: tuple) -> int:
+    """The union of the members of ``missing`` inside ``subset``, by a direct scan.
+
+    ``subset`` is covered when this is ``subset`` itself.
+    """
+    union = 0
+    for face in missing:
+        if face & subset == face:
+            union |= face
+    return union
 
 
 def _vertex_links(complex_: SimplicialComplex) -> dict:
@@ -160,7 +212,7 @@ def _cone_reduction(subset: int, links: dict) -> int | None:
         rest ^= bit
         nbrs, link_missing = links[bit]
         nbrs &= subset
-        if nbrs and not _covered(nbrs, link_missing):
+        if nbrs and _missing_union(nbrs, link_missing) != nbrs:
             return subset ^ bit
     return None
 
@@ -170,30 +222,85 @@ def _subset_cohomology(complex_: SimplicialComplex, subset: int) -> list:
     return [(d, group) for d, group in groups.items() if not group.is_zero]
 
 
+def _subsets(bits: list, stretches) -> Iterator[int]:
+    """The masks of each (k, i, count) stretch in turn, in lex order.
+
+    A stretch is the first ``count`` k-subsets of bits[i:]: the runs (k, i),
+    (k, i + 1) and on of :func:`_batches`.
+    """
+    return chain.from_iterable(
+        islice(map(sum, combinations(bits[i:], k)), count) for k, i, count in stretches
+    )
+
+
+@cache
+def _batches(m: int, threads: int) -> list:
+    """The table order cut into contiguous batches of whole runs, about 8 per worker.
+
+    Run (k, i) is the subsets of size k whose lowest vertex is i + 1 (i = 0
+    for the empty set); lex order lists each run in one stretch, and the
+    runs follow in (k, i) order.  A batch is (first, stretches, parents):
+    the (k, i) of its first run; its subsets, as one stretch of
+    :func:`_subsets` per size; and the stretches before it that hold the
+    parents J - h of its subsets, whose unions it must find by itself.
+    """
+    runs = [(0, 0, 1)]
+    for k in range(1, m + 1):
+        for i in range(m - k + 1):
+            runs.append((k, i, comb(m - 1 - i, k - 1)))
+    chunk = -(-(1 << m) // (threads * 8)) if threads > 1 and m >= 6 else 1 << m
+    batches = []
+    filled = chunk
+    for k, i, count in runs:
+        if filled >= chunk:
+            first, stretches, parents, filled = (k, i), [], [], 0
+            batches.append((first, stretches, parents))
+        filled += count
+        if stretches and stretches[-1][0] == k:
+            stretches[-1][2] += count
+        else:
+            stretches.append([k, i, count])
+        # the parents of run (k, i) form run (k - 1, i)
+        if k > 1 and (k - 1, i) < first:
+            parents.append((k - 1, i, comb(m - 1 - i, k - 2)))
+    return batches
+
+
 def _batch_worker(args):
-    complex_, subsets, prune = args
+    """(J, groups) for the subsets J of one batch with nonzero groups, in table order.
+
+    A subset whose cone reduction lands before the batch gets the reduced
+    subset itself in place of its groups; the caller, which has met every
+    earlier batch, looks them up.
+    """
+    complex_, (first, stretches, parents), prune = args
+    bits = [1 << i for i in range(complex_.m)]
+    subsets = _subsets(bits, stretches)
     if not prune:
         return [(s, groups) for s in subsets if (groups := _subset_cohomology(complex_, s))]
-    missing = complex_.missing_faces()
     links = _vertex_links(complex_)
-    first = subsets[0]
-    found = {}  # subset of this batch -> its nonzero groups
-    below = {}  # subset under the batch reached by a reduction -> its groups
-
-    def groups_of(subset: int, covered: bool) -> list:
-        if not covered:
-            return []
+    missing = complex_.missing_faces()
+    by_top = _missing_by_top(missing, complex_.m)
+    # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
+    # needs no import, unlike the array module
+    code, width = ("I", 4) if complex_.m <= 32 else ("Q", 8)
+    unions = memoryview(bytearray(width << complex_.m)).cast(code)
+    for parent in _subsets(bits, parents):
+        unions[parent] = _missing_union(parent, missing)
+    found = {}  # subset -> nonzero groups, or the subset before the batch it reduces to
+    for subset in subsets:
+        if not _covered_by_missing(subset, unions, by_top):
+            continue
         smaller = _cone_reduction(subset, links)
         if smaller is None:
-            return _subset_cohomology(complex_, subset)
-        if smaller >= first:
-            return found.get(smaller, [])
-        if smaller not in below:
-            below[smaller] = groups_of(smaller, _covered(smaller, missing))
-        return below[smaller]
-
-    for subset in subsets:
-        groups = groups_of(subset, _covered_by_missing(subset, missing))
+            groups = _subset_cohomology(complex_, subset)
+        else:
+            groups = found.get(smaller)
+            # a reduction is never empty, so its run is (size, lowest vertex - 1)
+            if groups is None and (
+                (smaller.bit_count(), (smaller & -smaller).bit_length() - 1) < first
+            ):
+                groups = smaller
         if groups:
             found[subset] = groups
     return list(found.items())
@@ -204,7 +311,7 @@ def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
     if complex_.m > max_vertices:
         raise VertexCapExceeded(
             f"vertex count {complex_.m} exceeds the cap {max_vertices}; "
-            "raise the cap explicitly to spend 2^m time"
+            "raise the cap explicitly to spend 2^m time and 4 * 2^m bytes"
         )
 
 
@@ -217,38 +324,43 @@ def bigraded_betti(
 ) -> BigradedBetti:
     """Reduced cohomology of every full subcomplex, nonzero entries only.
 
-    Enumerates all 2^m subsets, so ``max_vertices`` refuses to run on large
-    ground sets instead of silently taking days; raise it explicitly if you
-    mean it.  ``prune=False`` turns off both rules of the module docstring,
-    the missing-face cover test and the cone-link (strong collapse) reduction
-    after Barmak and Minian, so every subset gets a chain complex of its own:
-    the slow oracle for the fast path.  The result does not depend on
-    ``threads``.
+    Enumerates all 2^m subsets and keeps 4 bytes for each, so
+    ``max_vertices`` refuses to run on large ground sets instead of silently
+    taking days; raise it explicitly if you mean it.  ``prune=False`` turns
+    off both rules of the module docstring, the missing-face cover test and
+    the cone-link (strong collapse) reduction after Barmak and Minian, so
+    every subset gets a chain complex of its own: the slow oracle for the
+    fast path.
+
+    Subsets are visited by size, then lexicographically, the order of the
+    table, so the entries need no sort.  ``threads`` > 1 splits that order
+    into batches of whole runs, the subsets of one size with one lowest
+    vertex; the batches come back in order, so the result does not depend
+    on ``threads``.
     """
     check_vertex_cap(complex_, max_vertices)
     if threads is None:
         threads = _thread_default()
-    subsets = range(1 << complex_.m)  # slices of a range pickle as three ints
-    if threads <= 1 or len(subsets) < 64:
-        batches = [_batch_worker((complex_, subsets, prune))]
+    batches = _batches(complex_.m, threads)
+    if len(batches) == 1:
+        found = [_batch_worker((complex_, batches[0], prune))]
     else:
         # imported here: loading the pool (multiprocessing, socket) costs
         # about as much as the rest of the package's import
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = (len(subsets) + threads * 8 - 1) // (threads * 8)
-        jobs = [
-            (complex_, subsets[i : i + chunk], prune)
-            for i in range(0, len(subsets), chunk)
-        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_batch_worker, jobs))
+            found = list(pool.map(_batch_worker, [(complex_, batch, prune) for batch in batches]))
+    groups_of = {}
     entries = {}
-    for batch in batches:
+    for batch in found:
         for subset, groups in batch:
+            if type(groups) is int:  # handed back: the groups of a subset of an earlier batch
+                groups = groups_of.get(groups, ())
+            groups_of[subset] = groups
             for d, group in groups:
                 entries[(subset, d)] = group
-    return BigradedBetti(m=complex_.m, dim=complex_.dim(), entries=entries)
+    return BigradedBetti._in_table_order(m=complex_.m, dim=complex_.dim(), entries=entries)
 
 
 def zk_betti(complex_: SimplicialComplex, **kwargs) -> dict:

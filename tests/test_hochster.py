@@ -23,7 +23,7 @@ from moment_angle import (
 )
 from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate
-from moment_angle.hochster import BigradedBetti
+from moment_angle.hochster import BigradedBetti, _batch_worker, _batches, _subsets
 from test_homology import P28, RP2
 
 Z = Abelian(1, ())
@@ -186,15 +186,43 @@ class TestBigraded:
         assert pruned.entries == unpruned.entries
         assert list(pruned.entries) == list(unpruned.entries)
 
-    # reductions on these inputs reach below the first subset of a batch
+    # reductions on these inputs reach below the first run of a batch
+    @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize(
         "complex_", [P28, polygon(12), truncated_simplex(4, 6)], ids=["p28", "polygon-12", "truncated-simplex-4-6"]
     )
-    def test_thread_count_does_not_change_output(self, complex_):
+    def test_thread_count_does_not_change_output(self, complex_, threads):
         single = bigraded_betti(complex_, threads=1)
-        multi = bigraded_betti(complex_, threads=2)
+        multi = bigraded_betti(complex_, threads=threads)
         assert single.entries == multi.entries
         assert list(single.entries) == list(multi.entries)
+        unpruned = bigraded_betti(complex_, prune=False, threads=threads)
+        assert list(unpruned.entries.items()) == list(single.entries.items())
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_batches_cover_the_table_order(self, threads):
+        bits = [1 << i for i in range(12)]
+        batches = _batches(12, threads)
+        assert (len(batches) == 1) == (threads == 1)
+        visited = [s for _, stretches, _ in batches for s in _subsets(bits, stretches)]
+        assert visited == sorted(range(1 << 12), key=lambda s: (s.bit_count(), lex_key(s)))
+
+    def test_batches_hand_back_reductions_before_them(self):
+        # the threads tests above resolve some groups in the caller
+        handed_back = [
+            subset
+            for batch in _batches(12, 3)
+            for subset, groups in _batch_worker((polygon(12), batch, True))
+            if type(groups) is int
+        ]
+        assert handed_back
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_sweep_emits_table_order(self, small_corpus, threads):
+        # the sweep builds its table without sorting, so its own order is pinned
+        for complex_ in [*small_corpus, polygon(10), polygon(11), polygon(12), P28, RP2]:
+            keys = list(bigraded_betti(complex_, threads=threads).entries)
+            assert keys == sorted(keys, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
 
     def test_entries_are_in_size_then_lex_order(self):
         # the bit-reversed sort key against (|J|, lex J, d) on every subset

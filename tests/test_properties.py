@@ -19,7 +19,14 @@ from moment_angle import (
     zk_betti,
 )
 from moment_angle.bitsets import iter_vertices, shuffle_sign
-from moment_angle.hochster import _covered, _covered_by_missing, _vertex_links
+from moment_angle.hochster import (
+    _batches,
+    _covered_by_missing,
+    _missing_by_top,
+    _missing_union,
+    _subsets,
+    _vertex_links,
+)
 from moment_angle.homology import CohomologyBasis
 from moment_angle.ring import _check_cocycle
 from moment_angle.snf import matmul
@@ -85,13 +92,33 @@ class TestChainComplexes:
 
 class TestPruning:
     def test_uncovered_subsets_are_contractible(self, small_corpus):
-        # soundness of the missing-face cover shortcut, subset by subset
+        # soundness of the missing-face cover shortcut, subset by subset;
+        # increasing order also meets J - h before J, as the recurrence needs
         for complex_ in small_corpus[:12]:
-            missing = complex_.missing_faces()
+            by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
+            unions = [0] * (1 << complex_.m)
             for subset in range(1 << complex_.m):
-                if not _covered_by_missing(subset, missing):
+                if not _covered_by_missing(subset, unions, by_top):
                     cc = ChainComplexZ.of_subset(complex_, subset)
                     assert all(g.is_zero for g in cc.cohomology().values())
+
+    def test_cover_recurrence_matches_direct_scan(self, small_corpus, p28):
+        # the sweep's walk in table order: every verdict and every union
+        # equals a direct scan over all missing faces
+        ghost = SimplicialComplex(6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 5)], allow_ghosts=True)
+        for complex_ in [*small_corpus, p28, truncated_simplex(3, 5), ghost]:
+            missing = complex_.missing_faces()
+            by_top = _missing_by_top(missing, complex_.m)
+            unions = [0] * (1 << complex_.m)
+            bits = [1 << i for i in range(complex_.m)]
+            visited = 0
+            ((_, stretches, _),) = _batches(complex_.m, 1)
+            for subset in _subsets(bits, stretches):
+                visited += 1
+                union = _missing_union(subset, missing)
+                assert _covered_by_missing(subset, unions, by_top) == (union == subset), (complex_, subset)
+                assert unions[subset] == union, (complex_, subset)
+            assert visited == 1 << complex_.m
 
     def test_cone_links_keep_the_groups(self, small_corpus, p28):
         # soundness of the strong-collapse shortcut, subset by subset and
@@ -113,7 +140,7 @@ class TestPruning:
             for subset in range(1 << complex_.m):
                 for v in iter_vertices(subset):
                     nbrs, link_missing = links[1 << (v - 1)]
-                    if nbrs & subset and not _covered(nbrs & subset, link_missing):
+                    if nbrs & subset and _missing_union(nbrs & subset, link_missing) != nbrs & subset:
                         accepted += 1
                         assert cohomology(subset) == cohomology(subset ^ (1 << (v - 1))), (complex_, subset, v)
         assert accepted > 1000
