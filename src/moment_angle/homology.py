@@ -9,7 +9,8 @@ which pins down every sign used elsewhere in the library.
 
 Group data (ranks and torsion) comes from invariant factors of the boundary
 matrices.  Explicit cocycle representatives, needed for cup products, come
-from the fully tracked Smith normal form in :class:`CohomologyBasis`.
+from two Smith normal forms per degree in :class:`CohomologyBasis`, each
+tracking only the side of transforms it is read for.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class ChainComplexZ:
     entry), and eliminates only what neither move reaches.
     ``simplicial`` is set by :meth:`of_complex` and :meth:`of_subset` only:
     two steps of the pass rely on every edge column being v - u.
-    ``boundary_entries`` is the local-index form, used by cocycle bases.
+    ``boundary_entries`` and :meth:`coboundary_matrix` give one map in local
+    indices (positions within a degree), the second for cocycle bases.
     """
 
     simplicial = False
@@ -131,11 +133,20 @@ class ChainComplexZ:
         return entries
 
     def coboundary_matrix(self, d: int) -> list:
-        """Matrix of delta: C^d -> C^{d+1}, the transpose of boundary(d+1)."""
-        mat = [[0] * self.n_faces(d) for _ in range(self.n_faces(d + 1))]
-        for i, row in self.boundary_entries(d + 1).items():
-            for j, v in row.items():
-                mat[j][i] = v
+        """Matrix of delta: C^d -> C^{d+1}, the transpose of boundary(d+1).
+
+        Row j is the boundary column of the j-th element of degree d + 1,
+        read straight from ``columns``.
+        """
+        index = self.index.get(d, {})
+        n = len(index)
+        columns = self.columns
+        mat = []
+        for face in self.faces.get(d + 1, ()):
+            row = [0] * n
+            for sub, sign in columns[face].items():
+                row[index[sub]] = sign
+            mat.append(row)
         return mat
 
     def boundary_factor_table(self) -> dict:
@@ -401,12 +412,16 @@ class Expression(NamedTuple):
 class _DegreeBasis:
     """Cocycle representatives and coordinates for one cochain degree.
 
+    Two Smith forms are taken.  The coboundary's tracks only its column
+    side: the kernel rows of ``v^-1`` write a cocycle in kernel coordinates,
+    and the matching columns of ``v`` are the kernel basis.  The quotient
+    of the kernel by the coboundaries tracks only its row side: the free
+    columns of ``u_c^-1`` combine the kernel basis into representatives.
     Each coordinate of a class is one integer row applied to its cocycle:
-    row ``idx`` of ``u_c`` (the quotient of the kernel by the coboundaries)
-    composed with the kernel rows of ``v^-1`` (the cocycles in kernel
-    coordinates), with the representative's sign folded into a free row.
-    The rows are built once here, so :meth:`express` takes one dot product
-    per coordinate over the cochain's nonzero entries.
+    row ``idx`` of ``u_c`` composed with the kernel rows of ``v^-1``, with
+    the representative's sign folded into a free row.  The rows are built
+    once here, so :meth:`express` takes one dot product per coordinate over
+    the cochain's nonzero entries.
 
     Everything here is read from local face indices, so it names no face,
     and every value is a tuple: one basis may serve several complexes that
@@ -418,26 +433,23 @@ class _DegreeBasis:
         self.n = n
         self.delta_out = tuple(map(tuple, cc.coboundary_matrix(d)))
         if n_up and n:
-            out_snf = smith_normal_form(self.delta_out, rows=n_up, cols=n)
+            out_snf = smith_normal_form(self.delta_out, rows=n_up, cols=n, track="v")
             rank_out = out_snf.rank
-            v, v_inv = out_snf.v, out_snf.v_inv
+            v_t, v_inv = out_snf.v_t, out_snf.v_inv
         else:
             rank_out = 0
-            v = identity(n)
-            v_inv = identity(n)
-        kernel_indices = range(rank_out, n)
-        k = len(kernel_indices)
-        kernel_rows = [v_inv[i] for i in kernel_indices]
+            v_t = v_inv = identity(n)
+        k = n - rank_out
+        kernel_rows = v_inv[rank_out:]
         # coboundary images of (d-1)-cochains, written in kernel coordinates
         coords = matmul(kernel_rows, cc.coboundary_matrix(d - 1))
         if k and n_down:
-            quo = smith_normal_form(coords, rows=k, cols=n_down)
+            quo = smith_normal_form(coords, rows=k, cols=n_down, track="u")
             diag = [quo.d[i][i] for i in range(min(k, n_down))]
-            u_c, u_c_inv = quo.u, quo.u_inv
+            u_c, u_c_inv_t = quo.u, quo.u_inv_t
         else:
             diag = []
-            u_c = identity(k)
-            u_c_inv = identity(k)
+            u_c = u_c_inv_t = identity(k)
         diag = list(diag) + [0] * (k - len(diag))
         free_indices = [i for i, s in enumerate(diag) if s == 0]
         torsion_orders = [(i, s) for i, s in enumerate(diag) if s > 1]
@@ -445,8 +457,8 @@ class _DegreeBasis:
         # representatives: kernel basis combined through columns of u_c^-1
         representatives = []
         signs = []
-        kernel_basis = [[row[c] for row in v] for c in kernel_indices]
-        weights = [[row[idx] for row in u_c_inv] for idx in free_indices]
+        kernel_basis = v_t[rank_out:]
+        weights = [u_c_inv_t[idx] for idx in free_indices]
         for vec in matmul(weights, kernel_basis):
             sign = 1
             for x in vec:

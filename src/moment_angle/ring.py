@@ -152,22 +152,43 @@ class RingGenerator:
 class _BlockContext:
     """Cohomology basis of one full subcomplex, faces in parent labels.
 
-    ``cc`` lists this block's own faces; ``basis`` is the one its
-    presentation keeps for the block's shape (see :class:`RingPresentation`)
-    and is read through ``cc``'s local face indices.
+    ``basis`` is the one its presentation keeps for the block's shape (see
+    :class:`RingPresentation`).  Only the first block of a shape builds a
+    chain complex, the one that basis is computed on; every block lists
+    its own faces, and their positions, only in the degrees that
+    :meth:`classes` and :meth:`express` ask for, and reads ``basis``
+    through those positions.
     """
 
     def __init__(self, complex_: SimplicialComplex, subset: int, bases: dict):
+        self.complex = complex_
         self.subset = subset
-        self.cc = ChainComplexZ.of_subset(complex_, subset)
+        self._faces = {}  # degree -> this block's faces, in lex order
+        self._index = {}  # degree -> {face: position in _faces}
         shape = complex_.subset_shape(subset)
         basis = bases.get(shape)
         if basis is None:
-            basis = bases[shape] = CohomologyBasis(self.cc)
+            cc = ChainComplexZ.of_subset(complex_, subset)
+            basis = bases[shape] = CohomologyBasis(cc)
+            self._faces.update(cc.faces)
         self.basis = basis
 
+    def faces(self, degree: int) -> list:
+        faces = self._faces.get(degree)
+        if faces is None:
+            outside = ~self.subset
+            by_dim = self.complex.faces_by_dim()
+            faces = self._faces[degree] = [f for f in by_dim.get(degree, ()) if not f & outside]
+        return faces
+
+    def index(self, degree: int) -> dict:
+        index = self._index.get(degree)
+        if index is None:
+            index = self._index[degree] = {f: i for i, f in enumerate(self.faces(degree))}
+        return index
+
     def express(self, cls: HochsterClass) -> Expression:
-        index = self.cc.index.get(cls.degree, {})
+        index = self.index(cls.degree)
         extra = [f for f in cls.cochain if f not in index]
         if extra:
             raise DegreeMismatch(
@@ -179,7 +200,7 @@ class _BlockContext:
         return self.basis.degree(cls.degree).express(support)
 
     def classes(self, degree: int) -> list:
-        faces = self.cc.faces.get(degree, [])
+        faces = self.faces(degree)
         out = []
         for rep in self.basis.representatives(degree):
             cochain = {f: c for f, c in zip(faces, rep) if c}
@@ -206,10 +227,12 @@ class RingPresentation:
     (:meth:`.SimplicialComplex.subset_shape`) share one
     :class:`.CohomologyBasis`, kept in ``_bases``.  Faces are listed in lex
     order of parent labels and the relabeling to 1..|J| keeps that order,
-    so twins have the same local boundary matrices, and each shape runs its
-    tracked Smith forms once per degree (98 shapes for the 439 blocks of
-    polygon 9).  The memo lives and dies with the presentation; nothing
-    carries over to another one.
+    so twins have the same local boundary matrices.  The first block of a
+    shape builds its chain complex and the basis on it, two one-sided
+    Smith forms per degree; every later twin only lists its own faces in
+    the degrees it is asked for (98 shapes for the 439 blocks of polygon
+    9).  The memo lives and dies with the presentation; nothing carries
+    over to another one.
     """
 
     complex: SimplicialComplex

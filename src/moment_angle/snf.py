@@ -6,6 +6,11 @@ entry growth is merely slow, never wrong.  One dense pivot loop,
 
 * :func:`smith_normal_form` hands it the unimodular transforms (and their
   inverses) to update, for the small matrices behind explicit cocycle bases.
+  By default it tracks both sides; ``track="u"`` or ``track="v"`` keeps
+  only the row side (``u``, ``u_inv``) or the column side (``v``,
+  ``v_inv``), and the loop then spends nothing on the other.  A cocycle
+  basis reads the column side of the coboundary's form and the row side of
+  the quotient's.
 * :func:`_diag_snf` runs it untracked and keeps only the nonzero diagonal.
   :func:`invariant_factors` gets there after first eliminating fill-free
   +-1 pivots in a sparse representation, which is where boundary-like
@@ -46,7 +51,10 @@ Matrix = list  # list[list[int]]
 
 
 def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -66,17 +74,35 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def _transpose(mat: Matrix | None) -> Matrix | None:
+    return None if mat is None else [list(col) for col in zip(*mat)]
+
+
 @dataclass
 class SNFResult:
-    """U @ M @ V == D with U, V unimodular and D a divisor chain diagonal."""
+    """U @ M @ V == D with U, V unimodular and D a divisor chain diagonal.
 
-    u: Matrix
+    The transforms are kept as :func:`_reduce` updates them: ``u`` and
+    ``v_inv`` as they are, ``u_inv_t`` and ``v_t`` transposed, so a column
+    of ``V`` is a row of ``v_t``.  ``u_inv`` and ``v`` transpose them back.
+    The transforms of an untracked side are ``None``.
+    """
+
+    u: Matrix | None
     d: Matrix
-    v: Matrix
-    u_inv: Matrix
-    v_inv: Matrix
+    u_inv_t: Matrix | None
+    v_t: Matrix | None
+    v_inv: Matrix | None
     rows: int
     cols: int
+
+    @property
+    def u_inv(self) -> Matrix | None:
+        return _transpose(self.u_inv_t)
+
+    @property
+    def v(self) -> Matrix | None:
+        return _transpose(self.v_t)
 
     def diagonal(self) -> list:
         return [self.d[i][i] for i in range(min(self.rows, self.cols)) if self.d[i][i]]
@@ -115,53 +141,55 @@ def _sub_col(mat: Matrix, j: int, i: int, q: int) -> None:
             r[j] -= q * r[i]
 
 
-def _reduce(d: Matrix, rows: int, cols: int, tracked: tuple | None = None) -> list:
+def _reduce(d: Matrix, rows: int, cols: int, row_pair=None, col_pair=None) -> list:
     """Reduce ``d`` in place to Smith form; returns its nonzero diagonal.
 
     Pivot rule: smallest absolute value, ties broken in row-major order, so
-    the output (and everything derived from it) is deterministic.  When
-    ``tracked`` is ``(u, u_inv, v, v_inv)``, every row operation is copied
-    into ``u`` and ``u_inv`` and every column operation into ``v`` and
-    ``v_inv``, so that ``U @ M @ V == D`` holds throughout.
+    the output (and everything derived from it) is deterministic.  A side
+    given a pair of transforms has every operation copied into it, so that
+    ``U @ M @ V == D`` holds throughout: ``row_pair`` is ``(u, u_inv_t)``
+    and ``col_pair`` is ``(v_t, v_inv)``, the ``_t`` ones transposed, so
+    every tracked update is a row operation.  Subtracting q times line b
+    of ``d`` from line a, rows or columns, subtracts q times row b from row
+    a of the pair's first matrix and adds q times row a to row b of its
+    second; a swap swaps the two rows in both, and negating a row of ``d``
+    negates that row in both.  A side without a pair costs nothing.
     """
-    if tracked:
-        u, u_inv, v, v_inv = tracked
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        if tracked:
-            u[i], u[j] = u[j], u[i]
-            for r in u_inv:
-                r[i], r[j] = r[j], r[i]
+        if row_pair:
+            for mat in row_pair:
+                mat[i], mat[j] = mat[j], mat[i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
-        if tracked:
-            u[i] = [-x for x in u[i]]
-            for r in u_inv:
-                r[i] = -r[i]
+        if row_pair:
+            for mat in row_pair:
+                mat[i] = [-x for x in mat[i]]
 
     def row_axpy(i, j, q):
         # row i -= q * row j
         _sub_row(d[i], d[j], q)
-        if tracked:
-            _sub_row(u[i], u[j], q)
-            _sub_col(u_inv, j, i, -q)
+        if row_pair:
+            fwd, inv = row_pair
+            _sub_row(fwd[i], fwd[j], q)
+            _sub_row(inv[j], inv[i], -q)
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        if tracked:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        if col_pair:
+            for mat in col_pair:
+                mat[i], mat[j] = mat[j], mat[i]
 
     def col_axpy(j, i, q):
         # col j -= q * col i
         _sub_col(d, j, i, q)
-        if tracked:
-            _sub_col(v, j, i, q)
-            _sub_row(v_inv[i], v_inv[j], -q)
+        if col_pair:
+            fwd, inv = col_pair
+            _sub_row(fwd[j], fwd[i], q)
+            _sub_row(inv[i], inv[j], -q)
 
     diagonal = []
     t = 0
@@ -227,16 +255,26 @@ def _reduce(d: Matrix, rows: int, cols: int, tracked: tuple | None = None) -> li
     return diagonal
 
 
-def smith_normal_form(m: Matrix, rows: int | None = None, cols: int | None = None) -> SNFResult:
-    """Dense Smith normal form with tracked transforms (and their inverses)."""
+def smith_normal_form(
+    m: Matrix, rows: int | None = None, cols: int | None = None, *, track: str = "uv"
+) -> SNFResult:
+    """Dense Smith normal form with tracked transforms (and their inverses).
+
+    ``track`` names the sides to track: ``"u"`` for ``u`` and ``u_inv``,
+    ``"v"`` for ``v`` and ``v_inv``.  An untracked side is left ``None``
+    and costs nothing; ``d`` and the pivots do not depend on ``track``.
+    """
     if rows is None:
         rows = len(m)
     if cols is None:
         cols = len(m[0]) if m else 0
     d = [list(row) for row in m]
-    u, u_inv, v, v_inv = identity(rows), identity(rows), identity(cols), identity(cols)
-    _reduce(d, rows, cols, (u, u_inv, v, v_inv))
-    return SNFResult(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv, rows=rows, cols=cols)
+    row_pair = (identity(rows), identity(rows)) if "u" in track else None
+    col_pair = (identity(cols), identity(cols)) if "v" in track else None
+    _reduce(d, rows, cols, row_pair, col_pair)
+    u, u_inv_t = row_pair or (None, None)
+    v_t, v_inv = col_pair or (None, None)
+    return SNFResult(u=u, d=d, u_inv_t=u_inv_t, v_t=v_t, v_inv=v_inv, rows=rows, cols=cols)
 
 
 def _diag_snf(d: Matrix) -> list:

@@ -403,6 +403,37 @@ class TestCohomologyBasis:
         assert basis.express(doubled, 2).is_zero
 
 
+class TestOneSidedForms:
+    """Degree bases from one-sided Smith forms equal those from full tracking."""
+
+    @pytest.mark.parametrize("which", ["small_corpus", "p28", "ts35", "rp2"])
+    def test_every_degree_basis_matches_full_tracking(self, which, request, monkeypatch):
+        if which == "small_corpus":
+            complexes = request.getfixturevalue("small_corpus")
+        else:
+            complexes = [{"p28": P28, "ts35": truncated_simplex(3, 5), "rp2": RP2}[which]]
+        original = homology.smith_normal_form
+
+        def fully_tracked(m, rows=None, cols=None, *, track="uv"):
+            return original(m, rows=rows, cols=cols)
+
+        one_sided, full, torsion_seen = [], [], False
+        for complex_ in complexes:
+            shapes = {}  # one full subcomplex per shape, as a presentation keeps
+            for subset in range(1 << complex_.m):
+                shapes.setdefault(complex_.subset_shape(subset), subset)
+            for subset in shapes.values():
+                cc = ChainComplexZ.of_subset(complex_, subset)
+                for d in range(-1, cc.top + 1):
+                    one_sided.append(vars(homology._DegreeBasis(cc, d)))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(homology, "smith_normal_form", fully_tracked)
+                        full.append(vars(homology._DegreeBasis(cc, d)))
+                    torsion_seen |= bool(one_sided[-1]["_torsion_rows"])
+        assert one_sided == full
+        assert torsion_seen == (which == "rp2")
+
+
 @st.composite
 def subcomplex_bases(draw):
     """The cocycle basis of a full subcomplex of p28 or RP^2, often the whole."""

@@ -502,18 +502,25 @@ class TestSharedBases:
         torsion_seen = False
         for subset, ctx in list(presentation._contexts.items()):
             fresh = CohomologyBasis(ChainComplexZ.of_subset(complex_, subset))
-            for d in range(-1, ctx.cc.top + 1):
+            # the complex the shape's basis was computed on, perhaps another block's
+            cc = ctx.basis.cc
+            assert cc.top == fresh.cc.top
+            for d in range(-1, cc.top + 2):
+                # the block lists its own faces, and their positions, per degree
+                assert ctx.faces(d) == fresh.cc.faces.get(d, [])
+                assert ctx.index(d) == fresh.cc.index.get(d, {})
+            for d in range(-1, cc.top + 1):
                 shared, alone = ctx.basis.degree(d), fresh.degree(d)
                 assert vars(shared) == vars(alone), (vertices_of(subset), d)
                 torsion_seen |= bool(shared._torsion_rows)
                 rng = random.Random(subset * 64 + d)
-                coboundary = ctx.cc.coboundary_matrix(d - 1)
+                coboundary = cc.coboundary_matrix(d - 1)
                 for _ in range(3):
                     vec = [0] * shared.n
                     for rep in shared.representatives:
                         c = rng.randint(-3, 3)
                         vec = [x + c * r for x, r in zip(vec, rep)]
-                    lower = [rng.randint(-2, 2) for _ in range(ctx.cc.n_faces(d - 1))]
+                    lower = [rng.randint(-2, 2) for _ in range(cc.n_faces(d - 1))]
                     vec = [x + sum(a * b for a, b in zip(row, lower)) for x, row in zip(vec, coboundary)]
                     cocycle = [(k, x) for k, x in enumerate(vec) if x]
                     assert shared.express(cocycle) == alone.express(cocycle)
@@ -526,8 +533,10 @@ class TestSharedBases:
         table = bigraded_betti(complex_)
         calls = []
         built = []
+        complexes = []
         original = homology.smith_normal_form
         original_init = homology._DegreeBasis.__init__
+        original_complex_init = homology.ChainComplexZ.__init__
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -537,10 +546,17 @@ class TestSharedBases:
             built.append(args)
             original_init(self, *args)
 
+        def counting_complex_init(self, *args):
+            complexes.append(args)
+            original_complex_init(self, *args)
+
         monkeypatch.setattr(homology, "smith_normal_form", counting)
         monkeypatch.setattr(homology._DegreeBasis, "__init__", counting_init)
+        monkeypatch.setattr(homology.ChainComplexZ, "__init__", counting_complex_init)
         first = ring_presentation(complex_, table=table)
         assert (len(first._contexts), len(first._bases), len(built)) == (439, 98, 98)
+        # only the first block of each shape builds a chain complex
+        assert len(complexes) == len(first._bases)
         assert len(calls) <= 2 * len(built)
         for subset, ctx in first._contexts.items():
             assert ctx.basis is first._bases[complex_.subset_shape(subset)]

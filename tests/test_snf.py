@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment_angle.snf import (
@@ -118,6 +118,42 @@ class TestRandomMatrices:
     @settings(max_examples=120, deadline=None)
     def test_rank_matches_rational_oracle(self, matrix):
         assert len(invariant_factors(matrix)) == rational_rank(matrix)
+
+
+@st.composite
+def sized_matrices(draw):
+    """Matrices with 0-7 rows and columns and entries up to +-6, with their shape."""
+    rows = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    entries = st.integers(min_value=-6, max_value=6)
+    matrix = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return matrix, rows, cols
+
+
+class TestOneSidedTracking:
+    """Tracking one side changes neither D nor the transforms of that side."""
+
+    @given(sized_matrices())
+    @example(([[2, 0], [0, 3]], 2, 2))  # divisibility offender
+    @example(([[4, 6], [6, 4]], 2, 2))  # remainders swap rows and columns
+    @example(([[3, -5, 6], [4, 2, -6]], 2, 3))  # non-unit pivot first
+    @example(([], 0, 4))
+    @example(([[], [], []], 3, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_each_side_alone_matches_full_tracking(self, sized):
+        matrix, rows, cols = sized
+        full = smith_normal_form(matrix, rows=rows, cols=cols)
+        left = smith_normal_form(matrix, rows=rows, cols=cols, track="u")
+        right = smith_normal_form(matrix, rows=rows, cols=cols, track="v")
+        bare = smith_normal_form(matrix, rows=rows, cols=cols, track="")
+        assert left.d == right.d == bare.d == full.d
+        assert (left.u, left.u_inv_t) == (full.u, full.u_inv_t)
+        assert (right.v_t, right.v_inv) == (full.v_t, full.v_inv)
+        assert left.v_t is left.v_inv is left.v is None
+        assert right.u is right.u_inv_t is right.u_inv is None
+        assert bare.u is bare.v_inv is None
+        assert (left.u_inv, right.v) == (full.u_inv, full.v)
+        assert_valid_snf(matrix, rows=rows, cols=cols)
 
 
 class TestUnimodularTest:
