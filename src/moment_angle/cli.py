@@ -36,7 +36,7 @@ from .errors import MomentAngleError, ParameterOutOfRange, ParseError, VertexCap
 from .homology import reduced_homology
 from .hochster import (
     DEFAULT_VERTEX_CAP,
-    _thread_default,
+    _thread_count,
     bigraded_betti,
     check_vertex_cap,
     total_json,
@@ -292,11 +292,7 @@ def main(argv=None) -> int:
         if args.command == "construct":
             return cmd_construct(args)
         if "threads" in args:
-            if args.threads is None:
-                args.threads = _thread_default()
-            elif args.threads < 1:
-                sys.stderr.write("--threads must be >= 1\n")
-                return USAGE_ERROR
+            args.threads = _thread_count(args.threads)
         payload, text, code = args.report(args)
         _emit((json.dumps(payload, indent=2) if args.json else "\n".join(text())) + "\n", args.out)
         return code

@@ -38,17 +38,19 @@ from .homology import ZERO_GROUP, Abelian, ChainComplexZ, pseudo_sphere_check, s
 DEFAULT_VERTEX_CAP = 24
 
 
-def _thread_default() -> int:
-    """Worker count from ``MOMENT_ANGLE_THREADS``, 1 when it is unset or empty."""
-    env = os.environ.get("MOMENT_ANGLE_THREADS")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0  # refused below, like any count under 1
+def _thread_count(threads: int | None = None) -> int:
+    """``threads``, else ``MOMENT_ANGLE_THREADS`` (1 when unset or empty); under 1 is refused."""
+    name, value = "threads", threads
+    if threads is None:
+        name, value = "MOMENT_ANGLE_THREADS", os.environ.get("MOMENT_ANGLE_THREADS")
+        if not value:
+            return 1
+        try:
+            threads = int(value)
+        except ValueError:
+            threads = 0  # refused below, like any count under 1
     if threads < 1:
-        raise ParameterOutOfRange(f"MOMENT_ANGLE_THREADS must be an integer >= 1, got {env!r}")
+        raise ParameterOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
     return threads
 
 
@@ -336,11 +338,10 @@ def bigraded_betti(
     table, so the entries need no sort.  ``threads`` > 1 splits that order
     into batches of whole runs, the subsets of one size with one lowest
     vertex; the batches come back in order, so the result does not depend
-    on ``threads``.
+    on ``threads``; a count under 1 is refused (:func:`_thread_count`).
     """
     check_vertex_cap(complex_, max_vertices)
-    if threads is None:
-        threads = _thread_default()
+    threads = _thread_count(threads)
     batches = _batches(complex_.m, threads)
     if len(batches) == 1:
         found = [_batch_worker((complex_, batches[0], prune))]

@@ -99,6 +99,7 @@ class ChainComplexZ:
         self.columns = columns
         self.bottom = min(self.faces) if self.faces else 0
         self.top = max(self.faces) if self.faces else -1
+        self.degrees = range(self.bottom, self.top + 1)
         self._factors = None
 
     @classmethod
@@ -176,14 +177,9 @@ class ChainComplexZ:
             left = [f for f in fs if f in alive]
             pairs = len(fs) - len(left) - pairs_above - (critical if d == 0 else 0)
             pairs_above = pairs
-            rows = {}
-            for f in left:
-                row = {g: c for g, c in columns[f].items() if g in alive}
-                if row:
-                    rows[f] = row
             table[d] = [1] * pairs
-            if rows:
-                table[d] += invariant_factors_sparse(rows)
+            if left:
+                table[d] += _leftover_factors(left, columns, alive)
         return table
 
     def _reduction_pass(self) -> tuple:
@@ -323,33 +319,13 @@ class ChainComplexZ:
         table[1] = [1] * merges
         return table
 
-    def _groups(self, torsion_shift: int) -> dict:
-        """One group per degree, bottom .. top, zero groups included.
-
-        The free rank at d is the size of C_d minus the ranks of the maps
-        out of and into it; the torsion is the non-unit factors of the map
-        into C_{d - 1 + torsion_shift}.  Factor lists ascend, so a map has
-        torsion exactly when its last factor exceeds 1.
-        """
-        factors = self.boundary_factor_table()
-        faces = self.faces
-        out = {}
-        for d in range(self.bottom, self.top + 1):
-            free = len(faces.get(d, ())) - len(factors[d]) - len(factors[d + 1])
-            shifted = factors[d + torsion_shift]
-            if shifted and shifted[-1] > 1:
-                out[d] = Abelian(free, tuple([t for t in shifted if t > 1]))
-            else:
-                out[d] = Abelian(free, ()) if free else ZERO_GROUP
-        return out
-
     def homology(self) -> dict:
         """Homology groups; torsion comes from the map into the degree."""
-        return self._groups(1)
+        return _groups(self.faces, self.boundary_factor_table(), self.degrees, 1)
 
     def cohomology(self) -> dict:
         """Cohomology groups; torsion comes from the map one degree lower."""
-        return self._groups(0)
+        return _groups(self.faces, self.boundary_factor_table(), self.degrees, 0)
 
     def summand_homology(self, summand_of) -> dict:
         """Homology of each direct summand, from one reduction pass over the sum.
@@ -358,14 +334,13 @@ class ChainComplexZ:
         column may name an element of another summand; the complex must not
         be simplicial, whose pass also drops vertices.  Both moves of the
         pass pair two elements of one summand and change nothing elsewhere,
-        so each summand is left as its own pass would leave it.  A summand
-        whose survivors have empty restricted columns has one free generator
-        per survivor; the others are reduced again as the complex of their
-        survivors.  Returns ``{key: {d: group}}`` with nonzero groups only,
-        so summands with zero homology are absent.
+        so each summand is left as its own pass would leave it, and its
+        survivors' restricted columns give its groups, as the leftover step
+        of :meth:`_coreduced_factors` reads them.  Returns ``{key: {d:
+        group}}`` with nonzero groups only, so summands with zero homology
+        are absent.
         """
         alive, _ = self._reduction_pass()
-        columns = self.columns
         survivors: dict = {}  # key -> d -> survivors
         for d, fs in self.faces.items():
             for f in fs:
@@ -373,16 +348,43 @@ class ChainComplexZ:
                     survivors.setdefault(summand_of(f), {}).setdefault(d, []).append(f)
         out = {}
         for key, faces in survivors.items():
-            kept = [f for fs in faces.values() for f in fs]
-            if any(alive[f] for f in kept):
-                rest = {f: {g: c for g, c in columns[f].items() if g in alive} for f in kept}
-                groups = ChainComplexZ(faces, rest).homology()
-                groups = {d: group for d, group in groups.items() if not group.is_zero}
-            else:
-                groups = {d: Abelian(len(fs), ()) for d, fs in faces.items()}
+            factors = {d: _leftover_factors(fs, self.columns, alive) for d, fs in faces.items()}
+            groups = _groups(faces, factors, sorted(faces), 1)
+            groups = {d: group for d, group in groups.items() if not group.is_zero}
             if groups:
                 out[key] = groups
         return out
+
+
+def _leftover_factors(left, columns: dict, alive) -> list:
+    """Invariant factors of the columns of ``left``, restricted to ``alive``."""
+    rows = {}
+    for f in left:
+        row = {g: c for g, c in columns[f].items() if g in alive}
+        if row:
+            rows[f] = row
+    return invariant_factors_sparse(rows) if rows else []
+
+
+def _groups(faces: dict, factors: dict, degrees, torsion_shift: int) -> dict:
+    """One group per degree in ``degrees``, zero groups included.
+
+    ``factors[d]`` lists the invariant factors of the map out of C_d; the
+    degree above the last may be missing, a map with no factors.  The free
+    rank at d is the size of C_d minus the ranks of the maps out of and into
+    it; the torsion is the non-unit factors of the map into
+    C_{d - 1 + torsion_shift}.  Factor lists ascend, so a map has torsion
+    exactly when its last factor exceeds 1.
+    """
+    out = {}
+    for d in degrees:
+        free = len(faces.get(d, ())) - len(factors[d]) - len(factors.get(d + 1, ()))
+        shifted = factors.get(d + torsion_shift, ())
+        if shifted and shifted[-1] > 1:
+            out[d] = Abelian(free, tuple([t for t in shifted if t > 1]))
+        else:
+            out[d] = Abelian(free, ()) if free else ZERO_GROUP
+    return out
 
 
 def reduced_homology(complex_: SimplicialComplex) -> dict:

@@ -21,17 +21,17 @@ one factor and keeps the term only when the union of the rest is unchanged,
 so it preserves the support and homology can be computed one support
 stratum at a time.
 
-Koszul pieces (fixed J) and Taylor strata (fixed support) become
-:class:`ChainComplexZ` objects after d o d = 0 is checked on every basis
-element (:func:`_check_square`, shared by both).  :func:`koszul_bigraded`
-builds one piece per shape of K_J, the pieces of one size |J| as one direct
-sum reduced in one pass; :func:`koszul_pieces` builds every J's piece on
-its own, and :func:`taylor_strata` yields the strata one at a time.
-Both deliver groups per multidegree and per Tor bidegree (-i, 2j), recorded
-here as (i, J) and (i, j).
-Both refuse, before building any complex, a basis over its budget:
-``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_BASIS_CAP`` admissible
-monomials, each counted up front.
+Koszul pieces (fixed J) and Taylor strata (fixed support) are built alike:
+one loop over each monomial's bits fills its column, d o d = 0 is checked on
+every monomial (:func:`_check_square`), and the result is a
+:class:`ChainComplexZ`.  :func:`koszul_bigraded` builds one piece per shape
+of K_J, the pieces of one size |J| as one direct sum reduced in one pass;
+:func:`koszul_pieces` builds every J's piece on its own, and
+:func:`taylor_strata` yields the strata one at a time.  Both deliver groups
+per multidegree and per Tor bidegree (-i, 2j), recorded here as (i, J) and
+(i, j).  Both refuse, before building any complex, a basis over its budget:
+``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_BASIS_CAP`` admissible monomials,
+each counted up front.
 """
 
 from __future__ import annotations
@@ -86,21 +86,6 @@ def _check_square(columns: dict, method: str) -> dict:
         if any(square.values()):
             raise NotAChainComplex(f"{method} d*d != 0 on {key}")
     return columns
-
-
-def _checked_columns(basis, differential, method: str) -> dict:
-    """Boundary column ``differential(key)`` of every key in ``basis``, checked."""
-    return _check_square({key: differential(key) for key in basis}, method)
-
-
-def _checked_complex(basis_by_degree: dict, differential, method: str) -> ChainComplexZ:
-    """The complex that ``differential`` spans on the basis, d o d = 0 checked."""
-    keys = [key for keys in basis_by_degree.values() for key in keys]
-    return ChainComplexZ(basis_by_degree, _checked_columns(keys, differential, method))
-
-
-def _nonzero_homology(cc: ChainComplexZ) -> dict:
-    return {d: group for d, group in cc.homology().items() if not group.is_zero}
 
 
 # -- Koszul quotient algebra ---------------------------------------------------
@@ -309,29 +294,29 @@ def _strata(supports: dict) -> Iterator[tuple]:
     ``supports`` maps each monomial of a set closed under dropping a factor
     to its support.  d(u) drops the i-th factor with sign (-1)^i and keeps
     the term only when the support is unchanged, so each support S spans a
-    finite complex of its own, graded by the exterior degree r; d o d = 0
-    is checked stratum by stratum.  Each degree lists its monomials in
+    finite complex of its own, graded by the exterior degree r; its columns
+    are filled as :func:`_koszul_columns` fills a piece's, and d o d = 0 is
+    checked stratum by stratum.  Each degree lists its monomials in
     increasing order.
     """
-    strata_basis: dict[int, dict] = {}  # support -> r -> monomials
+    strata: dict[int, dict] = {}  # support -> r -> monomials
     for mono in sorted(supports):
-        strata_basis.setdefault(supports[mono], {}).setdefault(mono.bit_count(), []).append(mono)
-
-    def differential(mono: int) -> dict:
-        support = supports[mono]
-        column = {}
-        sign = -1  # (-1)^i with i starting at 1
-        bits = mono
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            if supports[mono ^ low] == support:
-                column[mono ^ low] = sign
-            sign = -sign
-        return column
-
-    for support, basis in strata_basis.items():
-        yield support, _checked_complex(basis, differential, "taylor")
+        strata.setdefault(supports[mono], {}).setdefault(mono.bit_count(), []).append(mono)
+    for support, basis in strata.items():
+        columns = {}
+        for monomials in basis.values():
+            for mono in monomials:
+                column = {}
+                sign = -1  # (-1)^i with i starting at 1
+                bits = mono
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    if supports[mono ^ low] == support:
+                        column[mono ^ low] = sign
+                    sign = -sign
+                columns[mono] = column
+        yield support, ChainComplexZ(basis, _check_square(columns, "taylor"))
 
 
 def taylor_strata(complex_: SimplicialComplex) -> Iterator[tuple]:
@@ -352,8 +337,9 @@ def taylor_bigraded(complex_: SimplicialComplex) -> TaylorTable:
     """
     strata = {}
     for support, cc in taylor_strata(complex_):
-        for r, group in _nonzero_homology(cc).items():
-            strata[(r, support)] = group
+        for r, group in cc.homology().items():
+            if not group.is_zero:
+                strata[(r, support)] = group
     ordered = sorted(strata, key=lambda key: (key[0], lex_key(key[1])))
     return TaylorTable(missing=complex_.missing_faces(), strata={key: strata[key] for key in ordered})
 

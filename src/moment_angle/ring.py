@@ -1,20 +1,21 @@
 """Cup products on the subset decomposition and ring presentations.
 
 A class living on the full subcomplex over I pairs with one over J through
-the juxtaposition product: zero unless I and J are disjoint, otherwise the
-value on a simplex of K_{I union J} splits the simplex into its I-part and
-J-part and multiplies the factor values with the sign of the shuffle sorting
-them back together.  It is associative on the nose, and it commutes as
-h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees d1, d2, which is the
-rule the stored products obey.  That is NOT graded commutativity in the
-moment-angle total degrees |J| + d + 1, and no per-class sign can make it
-so: changing the sign of a class changes g.h and h.g alike, so the
-commutation sign of two blocks does not depend on the basis.  The
-structure constants therefore differ from the cup product of the
+the juxtaposition product (Baskakov 2002): zero unless I and J are disjoint,
+otherwise (phi . psi)(sigma | tau) = phi(sigma) psi(tau) times the sign of
+the shuffle sorting sigma | tau, for faces sigma | tau of K with sigma in I
+and tau in J.  :func:`star_product` reads it off the pairs of supported
+faces, at a cost of the product of the two support sizes.  It is associative
+on the nose, and it commutes as h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced
+degrees d1, d2, which is the rule the stored products obey.  That is NOT
+graded commutativity in the moment-angle total degrees |J| + d + 1, and no
+per-class sign can make it so: changing the sign of a class changes g.h and
+h.g alike, so the commutation sign of two blocks does not depend on the
+basis.  The structure constants therefore differ from the cup product of the
 moment-angle complex by a sign on some pairs of blocks.  If that sign
 depends only on the two blocks, every t-fold product is off by a sign at
-most, so ranks of product spans over Q, the unimodularity of the pairing
-and the existence of top products do not see it; the golden assertions
+most, so ranks of product spans over Q, the unimodularity of the pairing and
+the existence of top products do not see it; the golden assertions
 downstream are stated as those.
 """
 
@@ -24,9 +25,16 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .bitsets import is_subset, lex_key, mask_of, shuffle_sign, vertices_of
+from .bitsets import is_subset, iter_vertices, lex_key, mask_of, shuffle_sign, vertices_of
 from .complexes import SimplicialComplex
-from .errors import BasisMismatch, DegreeMismatch, NotACocycle, NotASubcomplex, TorsionWarning
+from .errors import (
+    BasisMismatch,
+    DegreeMismatch,
+    NotACocycle,
+    NotASubcomplex,
+    ParameterOutOfRange,
+    TorsionWarning,
+)
 from .hochster import BigradedBetti, bigraded_betti
 from .homology import Abelian, ChainComplexZ, CohomologyBasis, Expression
 from .snf import identity, is_unimodular_square, row_basis
@@ -94,40 +102,44 @@ class HochsterClass:
 
 
 def _check_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
+    """Raise :class:`NotACocycle` unless the coboundary of ``cls`` on K_J vanishes.
+
+    Only the cofaces ``face | v`` of supported faces, v in J, can carry it.
+    """
     columns = complex_.boundary_table()
-    for face in complex_.faces_by_dim().get(cls.degree + 1, []):
-        if not is_subset(face, cls.subset):
-            continue
-        total = sum(sign * cls.cochain.get(sub, 0) for sub, sign in columns[face].items())
+    coboundary = {}
+    for face, coeff in cls.cochain.items():
+        for v in iter_vertices(cls.subset & ~face):
+            coface = face | 1 << (v - 1)
+            if coface in columns:
+                coboundary[coface] = coboundary.get(coface, 0) + columns[coface][face] * coeff
+    for coface, total in coboundary.items():
         if total:
             raise NotACocycle(
-                f"juxtaposition product has coboundary {total} on {vertices_of(face)}"
+                f"juxtaposition product has coboundary {total} on {vertices_of(coface)}"
             )
 
 
 def star_product(
     c1: HochsterClass, c2: HochsterClass, complex_: SimplicialComplex
 ) -> HochsterClass:
-    """Juxtaposition product of two classes; zero when supports overlap."""
+    """Juxtaposition product of two classes; zero when supports overlap.
+
+    (c1 . c2)(sigma | tau) = c1(sigma) c2(tau) shuffle_sign(sigma, tau) for
+    each supported sigma of c1 and tau of c2 whose join is a face of K, so
+    the cost is the product of the two support sizes.
+    """
     union = c1.subset | c2.subset
     degree = c1.degree + c2.degree + 1
     if c1.subset & c2.subset:
         return HochsterClass(union, degree, {})
+    faces = complex_.face_set()
     cochain = {}
-    for face in complex_.faces_by_dim().get(degree, []):
-        if not is_subset(face, union):
-            continue
-        left = face & c1.subset
-        if left.bit_count() != c1.degree + 1:
-            continue
-        right = face & c2.subset
-        a = c1.cochain.get(left)
-        if not a:
-            continue
-        b = c2.cochain.get(right)
-        if not b:
-            continue
-        cochain[face] = a * b * shuffle_sign(left, right)
+    for left, a in c1.cochain.items():
+        for right, b in c2.cochain.items():
+            face = left | right
+            if face in faces:
+                cochain[face] = a * b * shuffle_sign(left, right)
     result = HochsterClass(union, degree, cochain)
     _check_cocycle(result, complex_)
     return result
@@ -540,6 +552,8 @@ def functoriality_check(
     through the recorded relabeling must commute with the cochain-level
     product exactly, not just up to coboundary.
     """
+    if max_pairs < 0:
+        raise ParameterOutOfRange(f"max_pairs must be >= 0, got {max_pairs}")
     if not isinstance(subset, int):
         subset = mask_of(subset)
     if subset & ~((1 << complex_.m) - 1):

@@ -229,6 +229,15 @@ class TestReports:
         assert (code, out) == (2, "")
         assert "MOMENT_ANGLE_THREADS" in err and repr(value) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["zk", "--threads", "0"], ["zk", "--method", "koszul", "--threads", "-3"],
+        ["ring", "--threads", "0"],
+    ], ids=" ".join)
+    def test_thread_flag_under_one_is_refused(self, p28_file, capsys, argv):
+        code, out, err = run_cli([argv[0], p28_file, *argv[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert "threads must be an integer >= 1" in err
+
     @pytest.mark.parametrize("command", ["zk", "paper"])
     def test_threads_flag_reaches_every_sweep(self, p28_file, capsys, monkeypatch, command):
         # the variable is read only where --threads is not given

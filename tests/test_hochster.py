@@ -22,7 +22,7 @@ from moment_angle import (
     zk_betti,
 )
 from moment_angle.bitsets import lex_key
-from moment_angle.errors import CapExceeded, NotASphereCandidate
+from moment_angle.errors import CapExceeded, NotASphereCandidate, ParameterOutOfRange
 from moment_angle.hochster import BigradedBetti, _batch_worker, _batches, _subsets
 from test_homology import P28, RP2
 
@@ -198,6 +198,13 @@ class TestBigraded:
         assert list(single.entries) == list(multi.entries)
         unpruned = bigraded_betti(complex_, prune=False, threads=threads)
         assert list(unpruned.entries.items()) == list(single.entries.items())
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_under_one_is_refused(self, threads, monkeypatch):
+        # refused whether or not the variable names a valid count
+        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "2")
+        with pytest.raises(ParameterOutOfRange, match=f"got {threads}"):
+            bigraded_betti(polygon(6), threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_batches_cover_the_table_order(self, threads):

@@ -138,7 +138,7 @@ class TestSummandHomology:
 
     SUMMANDS = [RP2, polygon(5), boundary_simplex(3), two_points(), polygon(4).cone(5), EMPTY]
 
-    def test_each_summand_keeps_its_groups(self):
+    def direct_sum(self) -> ChainComplexZ:
         # summand k holds the faces of complex k as keys (k, face); not
         # simplicial, so the pass neither drops vertices nor uses graph forms
         faces: dict = {}
@@ -149,13 +149,38 @@ class TestSummandHomology:
                 faces.setdefault(d, []).extend((k, f) for f in fs)
                 for f in fs:
                     columns[(k, f)] = {(k, g): c for g, c in table[f].items()}
-        groups = ChainComplexZ(faces, columns).summand_homology(lambda key: key[0])
+        return ChainComplexZ(faces, columns)
+
+    def test_each_summand_keeps_its_groups(self):
+        groups = self.direct_sum().summand_homology(lambda key: key[0])
         expected = {
             k: nonzero(ChainComplexZ.of_complex(complex_).homology())
             for k, complex_ in enumerate(self.SUMMANDS)
         }
         assert groups == {k: g for k, g in expected.items() if g}
-        assert groups[0] == {1: Abelian(0, (2,))}  # RP2's survivors are reduced again
+        assert groups[0] == {1: Abelian(0, (2,))}  # RP2's survivors go on to elimination
+
+    def test_survivors_are_read_in_place(self, monkeypatch):
+        # one reduction pass over the sum, and no second complex of survivors
+        cc = self.direct_sum()
+        passes = []
+        built = []
+        reduction_pass = ChainComplexZ._reduction_pass
+        init = ChainComplexZ.__init__
+
+        def counting_pass(self):
+            passes.append(self)
+            return reduction_pass(self)
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ChainComplexZ, "_reduction_pass", counting_pass)
+        monkeypatch.setattr(ChainComplexZ, "__init__", counting_init)
+        groups = cc.summand_homology(lambda key: key[0])
+        assert (passes, built) == ([cc], [])
+        assert groups[0] == {1: Abelian(0, (2,))}
 
 
 class TestCoreduction:

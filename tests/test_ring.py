@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from test_homology import RP2
@@ -30,7 +31,8 @@ from moment_angle import (
     vertices_of,
 )
 from moment_angle import homology, ring
-from moment_angle.errors import DegreeMismatch, NotACocycle
+from moment_angle.bitsets import shuffle_sign
+from moment_angle.errors import DegreeMismatch, NotACocycle, ParameterOutOfRange
 from moment_angle.reproduction import mcgavran_model
 from moment_angle.ring import ring_json_obj
 from moment_angle.snf import invariant_factors, is_unimodular_square
@@ -76,6 +78,128 @@ class TestStarProduct:
             HochsterClass(mask_of((1, 2, 3)), 0, {mask_of((1, 2)): 1})
         with pytest.raises(DegreeMismatch):
             HochsterClass(mask_of((1, 2)), 0, {mask_of((3,)): 1})
+
+
+def scan_check_cocycle(cls, complex_):
+    """Reference: the coboundary on every face of K_J one degree up."""
+    columns = complex_.boundary_table()
+    for face in complex_.faces_by_dim().get(cls.degree + 1, []):
+        if face & ~cls.subset:
+            continue
+        total = sum(sign * cls.cochain.get(sub, 0) for sub, sign in columns[face].items())
+        if total:
+            raise NotACocycle(f"coboundary {total} on {vertices_of(face)}")
+
+
+def scan_star_product(c1, c2, complex_):
+    """Reference: every face of K in the target degree, split into its two parts."""
+    union = c1.subset | c2.subset
+    degree = c1.degree + c2.degree + 1
+    if c1.subset & c2.subset:
+        return HochsterClass(union, degree, {})
+    cochain = {}
+    for face in complex_.faces_by_dim().get(degree, []):
+        if face & ~union:
+            continue
+        left, right = face & c1.subset, face & c2.subset
+        a, b = c1.cochain.get(left), c2.cochain.get(right)
+        if left.bit_count() == c1.degree + 1 and a and b:
+            cochain[face] = a * b * shuffle_sign(left, right)
+    result = HochsterClass(union, degree, cochain)
+    scan_check_cocycle(result, complex_)
+    return result
+
+
+def outcome_of(function, *args):
+    """The result of ``function(*args)``, or NotACocycle when that is raised."""
+    try:
+        return function(*args)
+    except NotACocycle:
+        return NotACocycle
+
+
+def random_cochain(rng, complex_, subset, degree):
+    """Integer values on random (degree + 1)-subsets of ``subset``, faces of K or not."""
+    candidates = [mask_of(c) for c in combinations(vertices_of(subset), degree + 1)]
+    faces = complex_.face_set()
+    if rng.random() < 0.7:  # mostly faces, so that coboundaries meet
+        candidates = [f for f in candidates if f in faces] or candidates
+    chosen = rng.sample(candidates, rng.randint(0, min(4, len(candidates))))
+    return HochsterClass(subset, degree, {f: rng.randint(-3, 3) for f in chosen})
+
+
+def random_factor(rng, complex_, presentation, allowed):
+    """A class on vertices in ``allowed``: a cocycle of a block or a random cochain."""
+    blocks = [(key, gids) for key, gids in presentation._blocks.items() if not key[0] & ~allowed]
+    if blocks and rng.random() < 0.4:  # an integer combination of one block's generators
+        (subset, degree), gids = rng.choice(blocks)
+        cochain = {}
+        for g in presentation.generators[gids.start : gids.stop]:
+            c = rng.randint(-2, 2)
+            for face, value in g.cls.cochain.items():
+                cochain[face] = cochain.get(face, 0) + c * value
+        return HochsterClass(subset, degree, cochain)
+    subset = rng.randrange(1 << complex_.m) & allowed
+    degree = rng.randint(-1, min(complex_.dim(), subset.bit_count() - 1))
+    return random_cochain(rng, complex_, subset, degree)
+
+
+SUPPORT_INPUTS = [
+    pytest.param(construct_p28_8(), id="p28"),
+    pytest.param(polygon(9), id="polygon9"),
+    pytest.param(truncated_simplex(3, 5), id="truncated_simplex(3,5)"),
+    pytest.param(RP2, id="rp2"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+class TestSupportProducts:
+    """Products and cocycle checks read off supports match the face scans they replace."""
+
+    def check_every_pair(self, complex_):
+        presentation = ring_presentation(complex_)
+        classes = [g.cls for g in presentation.generators]
+        nonzero = 0
+        for c1 in classes:
+            ring._check_cocycle(c1, complex_)
+            for c2 in classes:
+                product = star_product(c1, c2, complex_)
+                assert product == scan_star_product(c1, c2, complex_)
+                nonzero += not product.is_zero
+        return nonzero
+
+    @pytest.mark.parametrize("complex_", SUPPORT_INPUTS)
+    def test_every_generator_pair(self, complex_):
+        self.check_every_pair(complex_)
+
+    def test_every_generator_pair_on_the_corpus(self, small_corpus):
+        assert sum(self.check_every_pair(complex_) for complex_ in small_corpus) > 0
+
+    @pytest.mark.parametrize("complex_", SUPPORT_INPUTS)
+    def test_random_cochains(self, complex_):
+        rng = random.Random(complex_.m * 1009 + len(complex_.facets))
+        presentation = ring_presentation(complex_)
+        full = (1 << complex_.m) - 1
+        seen = dict.fromkeys(["refused", "passed", "product refused", "product nonzero"], 0)
+        for _ in range(400):
+            c1 = random_factor(rng, complex_, presentation, full)
+            # a fifth of the pairs may share vertices; the rest have disjoint supports
+            allowed = full if rng.random() < 0.2 else full & ~c1.subset
+            c2 = random_factor(rng, complex_, presentation, allowed)
+            for cls in (c1, c2):
+                checked = outcome_of(ring._check_cocycle, cls, complex_)
+                assert checked == outcome_of(scan_check_cocycle, cls, complex_)
+                if checked is NotACocycle:
+                    seen["refused"] += 1
+                else:
+                    seen["passed"] += not cls.is_zero
+            product = outcome_of(star_product, c1, c2, complex_)
+            assert product == outcome_of(scan_star_product, c1, c2, complex_)
+            if product is NotACocycle:
+                seen["product refused"] += 1
+            else:
+                seen["product nonzero"] += not product.is_zero
+        assert all(seen.values()), seen
 
 
 class TestP28Relations:
@@ -351,6 +475,11 @@ class TestFunctoriality:
 
         with pytest.raises(NotASubcomplex):
             functoriality_check(p28, (7, 8, 9))
+
+    def test_negative_pair_budget_is_refused(self):
+        with pytest.raises(ParameterOutOfRange, match="max_pairs"):
+            functoriality_check(polygon(6), (1, 2, 3, 4), max_pairs=-1)
+        assert functoriality_check(polygon(6), (1, 2, 3, 4), max_pairs=0).pairs_checked == 0
 
 
 def reference_products(presentation):
