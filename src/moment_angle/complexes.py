@@ -200,26 +200,32 @@ class SimplicialComplex:
     def missing_faces(self) -> tuple:
         """Minimal non-faces, sorted by (cardinality, lexicographic).
 
-        A candidate is a face plus one vertex that fails to be a face; it is
-        minimal iff all its one-smaller subsets are faces.
+        A minimal non-face sigma is the face tau = sigma minus its highest
+        vertex, plus that vertex; so the candidates are each face tau with
+        one vertex above all of tau's added, and each is made once.  A
+        candidate that is no face is minimal iff dropping any vertex of tau
+        leaves a face.
         """
         cached = self._cache.get("missing_faces")
         if cached is not None:
             return cached
         faces = self.face_set()
-        candidates = set()
+        full = (1 << self.m) - 1
+        minimal = []
         for tau in faces:
-            for v in range(1, self.m + 1):
-                bit = 1 << (v - 1)
-                if tau & bit:
-                    continue
+            bit = 1 << tau.bit_length()
+            while bit <= full:
                 cand = tau | bit
                 if cand not in faces:
-                    candidates.add(cand)
-        minimal = []
-        for cand in candidates:
-            if all((cand & ~(1 << (v - 1))) in faces for v in iter_vertices(cand)):
-                minimal.append(cand)
+                    rest = tau
+                    while rest:
+                        low = rest & -rest
+                        if cand ^ low not in faces:
+                            break
+                        rest ^= low
+                    else:
+                        minimal.append(cand)
+                bit <<= 1
         cached = tuple(sorted(minimal, key=card_lex_key))
         self._cache["missing_faces"] = cached
         return cached

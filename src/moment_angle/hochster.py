@@ -4,7 +4,7 @@ H^p of the moment-angle complex over a complex K on [m] splits as a direct
 sum of the reduced cohomology of all full subcomplexes K_J, one group per
 pair (J, d) with p = |J| + d + 1.  This module computes that table by
 visiting the subsets in the table's own order, by size and then
-lexicographically, so every smaller subset comes before J.  Two rules make
+lexicographically, so every smaller subset comes before J.  Three rules make
 the walk fast:
 
 * a subcomplex whose missing faces do not cover its vertex set is a join
@@ -17,8 +17,14 @@ the walk fast:
   types, nerves and collapses*, DCG 2012).  Mayer-Vietoris over the star
   and the link gives the same isomorphism over Z, torsion included, so J
   takes the groups of the smaller subset, which the walk has already met.
+  Such a v of J - h is one for J too when h is not a neighbour of v, since
+  v's link in K_J is then its link in K_{J - h}, so most subsets inherit
+  their vertex from the walk and need no scan;
+* a subset of at least two vertices, none a ghost, where no vertex has a
+  neighbour is |J| points: H~^0 = Z^{|J| - 1} and nothing else.
 
-Only the subsets that neither rule settles get a chain complex of their own.
+Only the subsets that no rule settles get a chain complex of their own.
+The walk keeps 5 bytes per subset: its cover union and its cone vertex.
 """
 
 from __future__ import annotations
@@ -206,17 +212,24 @@ def _vertex_links(complex_: SimplicialComplex) -> dict:
     return links
 
 
-def _cone_reduction(subset: int, links: dict) -> int | None:
-    """J - v for the lowest v in J whose link in K_J is a nonempty cone, else None."""
+def _cone_witness(subset: int, links: dict) -> int:
+    """The lowest v in J whose link in K_J is a nonempty cone, as its index + 1.
+
+    Without one, 0 when some vertex of J has a neighbour in J, -1 when none
+    does.
+    """
+    edgeless = True
     rest = subset
     while rest:
         bit = rest & -rest
         rest ^= bit
         nbrs, link_missing = links[bit]
         nbrs &= subset
-        if nbrs and _missing_union(nbrs, link_missing) != nbrs:
-            return subset ^ bit
-    return None
+        if nbrs:
+            if _missing_union(nbrs, link_missing) != nbrs:
+                return bit.bit_length()
+            edgeless = False
+    return -1 if edgeless else 0
 
 
 def _subset_cohomology(complex_: SimplicialComplex, subset: int) -> list:
@@ -281,6 +294,8 @@ def _batch_worker(args):
     if not prune:
         return [(s, groups) for s in subsets if (groups := _subset_cohomology(complex_, s))]
     links = _vertex_links(complex_)
+    neighbours = [0, *(links[bit][0] for bit in bits)]  # by vertex index + 1
+    ghosts = ~complex_.vertex_support()
     missing = complex_.missing_faces()
     by_top = _missing_by_top(missing, complex_.m)
     # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
@@ -289,20 +304,30 @@ def _batch_worker(args):
     unions = memoryview(bytearray(width << complex_.m)).cast(code)
     for parent in _subsets(bits, parents):
         unions[parent] = _missing_union(parent, missing)
+    # 1 byte per subset: the cone vertex of each covered subset, as its
+    # index + 1, or 0 when none is known (the parents before the batch)
+    witnesses = bytearray(1 << complex_.m)
     found = {}  # subset -> nonzero groups, or the subset before the batch it reduces to
     for subset in subsets:
         if not _covered_by_missing(subset, unions, by_top):
             continue
-        smaller = _cone_reduction(subset, links)
-        if smaller is None:
-            groups = _subset_cohomology(complex_, subset)
-        else:
+        high = 1 << subset.bit_length() >> 1
+        witness = witnesses[subset ^ high]
+        if not witness or neighbours[witness] & high:
+            witness = _cone_witness(subset, links)
+        if witness > 0:
+            witnesses[subset] = witness
+            smaller = subset ^ 1 << witness >> 1
             groups = found.get(smaller)
             # a reduction is never empty, so its run is (size, lowest vertex - 1)
             if groups is None and (
                 (smaller.bit_count(), (smaller & -smaller).bit_length() - 1) < first
             ):
                 groups = smaller
+        elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
+            groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
+        else:
+            groups = _subset_cohomology(complex_, subset)
         if groups:
             found[subset] = groups
     return list(found.items())
@@ -313,7 +338,7 @@ def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
     if complex_.m > max_vertices:
         raise VertexCapExceeded(
             f"vertex count {complex_.m} exceeds the cap {max_vertices}; "
-            "raise the cap explicitly to spend 2^m time and 4 * 2^m bytes"
+            "raise the cap explicitly to spend 2^m time and 5 * 2^m bytes"
         )
 
 
@@ -326,13 +351,13 @@ def bigraded_betti(
 ) -> BigradedBetti:
     """Reduced cohomology of every full subcomplex, nonzero entries only.
 
-    Enumerates all 2^m subsets and keeps 4 bytes for each, so
+    Enumerates all 2^m subsets and keeps 5 bytes for each, so
     ``max_vertices`` refuses to run on large ground sets instead of silently
     taking days; raise it explicitly if you mean it.  ``prune=False`` turns
-    off both rules of the module docstring, the missing-face cover test and
-    the cone-link (strong collapse) reduction after Barmak and Minian, so
-    every subset gets a chain complex of its own: the slow oracle for the
-    fast path.
+    off all three rules of the module docstring, the missing-face cover
+    test, the cone-link (strong collapse) reduction after Barmak and Minian
+    and the closed form for a set of points, so every subset gets a chain
+    complex of its own: the slow oracle for the fast path.
 
     Subsets are visited by size, then lexicographically, the order of the
     table, so the entries need no sort.  ``threads`` > 1 splits that order

@@ -391,9 +391,11 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     first, so a complex over either basis budget raises CapExceeded before
     the subset sweep starts.
     """
-    from .hochster import bigraded_betti  # local import to avoid a cycle
+    from .hochster import _thread_count, bigraded_betti  # local import to avoid a cycle
 
     check_koszul_budget(complex_)
+    if table is None:  # a bad thread count is refused before the Taylor side's work
+        kwargs["threads"] = _thread_count(kwargs.get("threads"))
     taylor = taylor_bigraded(complex_)
     if table is None:
         table = bigraded_betti(complex_, **kwargs)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from moment_angle import (
     Abelian,
     ChainComplexZ,
@@ -18,12 +20,15 @@ from moment_angle import (
     truncated_simplex,
     zk_betti,
 )
+from moment_angle import hochster
 from moment_angle.bitsets import iter_vertices, shuffle_sign
 from moment_angle.hochster import (
     _batches,
+    _cone_witness,
     _covered_by_missing,
     _missing_by_top,
     _missing_union,
+    _subset_cohomology as subset_cohomology,
     _subsets,
     _vertex_links,
 )
@@ -90,6 +95,23 @@ class TestChainComplexes:
             assert all(g.is_zero for g in groups.values()), complex_
 
 
+# a 4-cycle with the chord {1, 3}, a pendant edge {1, 5} and the ghost vertex 6
+GHOST = SimplicialComplex(6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 5)], allow_ghosts=True)
+
+
+def nonzero_cohomology(complex_):
+    """subset -> {d: nonzero H~^d(K_J)} by a chain complex of its own, memoised."""
+    groups = {}
+
+    def cohomology(subset):
+        if subset not in groups:
+            found = ChainComplexZ.of_subset(complex_, subset).cohomology()
+            groups[subset] = {d: g for d, g in found.items() if not g.is_zero}
+        return groups[subset]
+
+    return cohomology
+
+
 class TestPruning:
     def test_uncovered_subsets_are_contractible(self, small_corpus):
         # soundness of the missing-face cover shortcut, subset by subset;
@@ -105,8 +127,7 @@ class TestPruning:
     def test_cover_recurrence_matches_direct_scan(self, small_corpus, p28):
         # the sweep's walk in table order: every verdict and every union
         # equals a direct scan over all missing faces
-        ghost = SimplicialComplex(6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 5)], allow_ghosts=True)
-        for complex_ in [*small_corpus, p28, truncated_simplex(3, 5), ghost]:
+        for complex_ in [*small_corpus, p28, truncated_simplex(3, 5), GHOST]:
             missing = complex_.missing_faces()
             by_top = _missing_by_top(missing, complex_.m)
             unions = [0] * (1 << complex_.m)
@@ -120,37 +141,127 @@ class TestPruning:
                 assert unions[subset] == union, (complex_, subset)
             assert visited == 1 << complex_.m
 
+    @staticmethod
+    def cone_link_inputs(small_corpus, p28):
+        return [*small_corpus[:12], RP2, p28, truncated_simplex(3, 5), GHOST]
+
+    @staticmethod
+    def cone_link(links, subset, v):
+        """Is v's link in K_J a nonempty cone?  The direct test, one vertex."""
+        nbrs, link_missing = links[1 << (v - 1)]
+        return bool(nbrs & subset) and _missing_union(nbrs & subset, link_missing) != nbrs & subset
+
     def test_cone_links_keep_the_groups(self, small_corpus, p28):
         # soundness of the strong-collapse shortcut, subset by subset and
         # for every vertex it accepts, not only the one the sweep takes
-        ghost = SimplicialComplex(6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 5)], allow_ghosts=True)
-        assert ghost.ghost_vertices() == (6,)
-        complexes = [*small_corpus[:12], RP2, p28, truncated_simplex(3, 5), ghost]
+        assert GHOST.ghost_vertices() == (6,)
         accepted = 0
-        for complex_ in complexes:
+        for complex_ in self.cone_link_inputs(small_corpus, p28):
             links = _vertex_links(complex_)
-            groups = {}
-
-            def cohomology(subset):
-                if subset not in groups:
-                    found = ChainComplexZ.of_subset(complex_, subset).cohomology()
-                    groups[subset] = {d: g for d, g in found.items() if not g.is_zero}
-                return groups[subset]
-
+            cohomology = nonzero_cohomology(complex_)
             for subset in range(1 << complex_.m):
                 for v in iter_vertices(subset):
-                    nbrs, link_missing = links[1 << (v - 1)]
-                    if nbrs & subset and _missing_union(nbrs & subset, link_missing) != nbrs & subset:
+                    if self.cone_link(links, subset, v):
                         accepted += 1
                         assert cohomology(subset) == cohomology(subset ^ (1 << (v - 1))), (complex_, subset, v)
         assert accepted > 1000
 
-    def test_pruned_equals_unpruned(self, small_corpus):
-        for complex_ in small_corpus[:12]:
-            pruned = bigraded_betti(complex_, prune=True).entries
-            unpruned = bigraded_betti(complex_, prune=False).entries
-            assert pruned == unpruned
-            assert list(pruned) == list(unpruned)
+    def test_inherited_witnesses_pass_the_cone_test(self, small_corpus, p28):
+        # the sweep's walk in table order: a cone vertex v of J - h, h the
+        # highest vertex of J and no neighbour of v, is one of J as well
+        inherited = scanned = 0
+        for complex_ in self.cone_link_inputs(small_corpus, p28):
+            links = _vertex_links(complex_)
+            cohomology = nonzero_cohomology(complex_)
+            by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
+            unions = [0] * (1 << complex_.m)
+            witnesses = {}
+            ((_, stretches, _),) = _batches(complex_.m, 1)
+            for subset in _subsets([1 << i for i in range(complex_.m)], stretches):
+                if not _covered_by_missing(subset, unions, by_top):
+                    continue
+                high = 1 << subset.bit_length() >> 1
+                witness = witnesses.get(subset ^ high, 0)
+                if witness and not links[1 << (witness - 1)][0] & high:
+                    inherited += 1
+                    assert self.cone_link(links, subset, witness), (complex_, subset, witness)
+                    assert cohomology(subset) == cohomology(subset ^ 1 << (witness - 1))
+                else:
+                    scanned += 1
+                    witness = _cone_witness(subset, links)
+                    accepting = [v for v in iter_vertices(subset) if self.cone_link(links, subset, v)]
+                    edged = any(links[1 << (v - 1)][0] & subset for v in iter_vertices(subset))
+                    assert witness == (accepting[0] if accepting else 0 if edged else -1), (complex_, subset)
+                if witness > 0:
+                    witnesses[subset] = witness
+        assert inherited > 100 and scanned > 100
+
+    def test_edgeless_subsets_are_points(self, small_corpus, p28):
+        # the closed form: |J| >= 2 vertices of K and no edge among them is
+        # |J| points, H~^0 = Z^(|J| - 1) and nothing else
+        settled = 0
+        for complex_ in self.cone_link_inputs(small_corpus, p28):
+            links = _vertex_links(complex_)
+            ghosts = ~complex_.vertex_support()
+            for subset in range(1 << complex_.m):
+                if subset.bit_count() < 2 or subset & ghosts or _cone_witness(subset, links) != -1:
+                    continue
+                assert not any(edge & ~subset == 0 for edge in complex_.faces(1)), (complex_, subset)
+                settled += 1
+                groups = ChainComplexZ.of_subset(complex_, subset).cohomology()
+                assert {d: g for d, g in groups.items() if not g.is_zero} == {
+                    0: Abelian(subset.bit_count() - 1, ())
+                }, (complex_, subset)
+        assert settled > 50
+
+    def test_ghost_vertices_are_not_points(self):
+        # a ghost vertex lies in no face: counted as a point it would add a
+        # generator to H~^0, so the sweep gives such a J a chain complex
+        links = _vertex_links(GHOST)
+        cohomology = nonzero_cohomology(GHOST)
+        wrong = [
+            subset
+            for subset in range(1 << GHOST.m)
+            if subset & 1 << 5 and subset.bit_count() > 1 and _cone_witness(subset, links) == -1
+            and cohomology(subset) != {0: Abelian(subset.bit_count() - 1, ())}
+        ]
+        assert wrong  # vertex 6 with two or more points, never Z^(|J| - 1)
+        table = bigraded_betti(GHOST)
+        assert all(table.group(s, 0) == Abelian(s.bit_count() - 2, ()) for s in wrong)
+
+    def test_sweep_builds_no_chain_complex_for_points(self, small_corpus, p28, monkeypatch):
+        built = []
+
+        def recording(complex_, subset):
+            built.append((complex_, subset))
+            return subset_cohomology(complex_, subset)
+
+        monkeypatch.setattr(hochster, "_subset_cohomology", recording)
+        for complex_ in [*self.cone_link_inputs(small_corpus, p28), polygon(10)]:
+            bigraded_betti(complex_, threads=1)
+        ghosts_built = 0
+        for complex_, subset in built:
+            edgeless = not any(edge & ~subset == 0 for edge in complex_.faces(1))
+            ghosts_built += bool(subset & ~complex_.vertex_support())
+            assert not edgeless or subset.bit_count() < 2 or subset & ~complex_.vertex_support()
+        assert ghosts_built
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pruned_equals_unpruned(self, small_corpus, p28, threads):
+        complexes = [
+            *small_corpus[:12],
+            polygon(10),
+            truncated_simplex(3, 6),
+            cross_polytope(4),
+            RP2,
+            p28,
+            GHOST,
+        ]
+        for complex_ in complexes:
+            pruned = bigraded_betti(complex_, prune=True, threads=threads).entries
+            unpruned = bigraded_betti(complex_, prune=False, threads=threads).entries
+            assert pruned == unpruned, complex_
+            assert list(pruned) == list(unpruned), complex_
 
 
 class TestStarProductLaws:

@@ -20,7 +20,7 @@ from moment_angle import (
     vertices_of,
 )
 from moment_angle import hochster, resolutions
-from moment_angle.errors import CapExceeded, MethodDisagreement
+from moment_angle.errors import CapExceeded, MethodDisagreement, ParameterOutOfRange
 from moment_angle.homology import sum_groups
 from moment_angle.resolutions import (
     KOSZUL_BASIS_CAP,
@@ -220,6 +220,21 @@ class TestLyubeznik:
             taylor_strata(p28)
         monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 136)
         assert len(taylor_bigraded(p28).strata) == 40
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count_refused_before_the_taylor_side(self, p28, threads, monkeypatch):
+        def no_taylor(*args, **kwargs):
+            raise AssertionError("Taylor side started")
+
+        monkeypatch.setattr(resolutions, "taylor_bigraded", no_taylor)
+        with pytest.raises(ParameterOutOfRange, match="threads must be an integer >= 1"):
+            cross_check(p28, threads=threads)
+        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "0")
+        with pytest.raises(ParameterOutOfRange, match="MOMENT_ANGLE_THREADS"):
+            cross_check(p28)
+        # with a table given no sweep runs, so the count is not read
+        monkeypatch.setattr(resolutions, "taylor_bigraded", taylor_bigraded)
+        assert cross_check(p28, table=bigraded_betti(p28, threads=1)).ok
 
 
 def textbook_koszul_column(complex_, mono):
