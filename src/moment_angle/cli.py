@@ -7,8 +7,8 @@ alone prints the text, or the payload with ``--json``, to stdout or
 ``--out``.  Exit codes: 0 on success or a passing check, 1 when a
 verification fails, an obstruction fires or the three methods disagree, 2
 on usage errors (bad arguments, an option the subcommand does not take,
-``zk --bigraded`` with ``--method koszul|taylor``, a malformed
-``MOMENT_ANGLE_THREADS``, malformed input, or a refused cap or budget).
+``zk --bigraded`` with ``--method koszul|taylor``, malformed input, or a
+refused cap or budget).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import MomentAngleError, ParameterOutOfRange, ParseError, VertexCap
 from .homology import reduced_homology
 from .hochster import (
     DEFAULT_VERTEX_CAP,
-    _thread_count,
     bigraded_betti,
     check_vertex_cap,
     total_json,
@@ -115,7 +114,7 @@ def cmd_zk(args):
         raise ParameterOutOfRange("--bigraded needs --method hochster or all")
     complex_ = _load(args.file)
     if args.method in ("hochster", "all"):
-        table = bigraded_betti(complex_, threads=args.threads, max_vertices=args.max_vertices)
+        table = bigraded_betti(complex_, max_vertices=args.max_vertices)
         if args.method == "all":
             cross_check(complex_, table=table)
         totals = table.total()
@@ -141,9 +140,7 @@ def cmd_zk(args):
 
 
 def cmd_ring(args):
-    presentation = ring_presentation(
-        _load(args.file), threads=args.threads, max_vertices=args.max_vertices
-    )
+    presentation = ring_presentation(_load(args.file), max_vertices=args.max_vertices)
     payload = ring_json_obj(presentation)
 
     def text():
@@ -159,9 +156,7 @@ def cmd_ring(args):
 
 
 def cmd_crosscheck(args):
-    report = cross_check(
-        _load(args.file), threads=args.threads, max_vertices=args.max_vertices
-    )
+    report = cross_check(_load(args.file), max_vertices=args.max_vertices)
     payload = {
         "ok": report.ok,
         "bidegrees": [
@@ -177,9 +172,7 @@ def cmd_crosscheck(args):
 
 
 def cmd_classify(args):
-    report = csp_obstructions(
-        _load(args.file), threads=args.threads, max_vertices=args.max_vertices
-    )
+    report = csp_obstructions(_load(args.file), max_vertices=args.max_vertices)
 
     def text():
         yield f"obstruction report (dim {report.dim})"
@@ -194,9 +187,7 @@ def cmd_classify(args):
 def cmd_verify(args):
     complex_ = _load(args.file)
     model = parse_model(args.model)
-    result = verify_csp_model(
-        complex_, model, threads=args.threads, max_vertices=args.max_vertices
-    )
+    result = verify_csp_model(complex_, model, max_vertices=args.max_vertices)
     payload = {
         "model": model.describe(),
         "consistent": result.consistent,
@@ -217,7 +208,7 @@ def cmd_verify(args):
 
 
 def cmd_paper(args):
-    items = run_checklist(threads=args.threads)
+    items = run_checklist()
     payload = checklist_json_obj(items)
 
     def text():
@@ -247,15 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("params", nargs="*", help="builder parameters")
     p_construct.add_argument("--out", help="output path (default stdout)")
 
-    def report(name, handler, summary, *, file=True, threads=True, cap=True, aliases=()):
+    def report(name, handler, summary, *, file=True, cap=True, aliases=()):
         p = sub.add_parser(name, help=summary, aliases=list(aliases))
         p.set_defaults(report=handler)
         if file:
             p.add_argument("file")
-        if threads:
-            p.add_argument("--threads", type=int,
-                           help="worker count (default MOMENT_ANGLE_THREADS or 1); "
-                                "results never depend on it")
         if cap:
             p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP,
                            help="refuse 2^m subset runs beyond this many vertices")
@@ -263,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
-    report("betti", cmd_betti, "reduced homology of the complex itself",
-           threads=False, cap=False)
+    report("betti", cmd_betti, "reduced homology of the complex itself", cap=False)
     p_zk = report("zk", cmd_zk, "moment-angle Betti table")
     p_zk.add_argument("--method", choices=["hochster", "koszul", "taylor", "all"],
                       default="hochster")
@@ -291,8 +277,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "construct":
             return cmd_construct(args)
-        if "threads" in args:
-            args.threads = _thread_count(args.threads)
         payload, text, code = args.report(args)
         _emit((json.dumps(payload, indent=2) if args.json else "\n".join(text())) + "\n", args.out)
         return code

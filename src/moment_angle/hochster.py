@@ -24,16 +24,14 @@ the walk fast:
   neighbour is |J| points: H~^0 = Z^{|J| - 1} and nothing else.
 
 Only the subsets that no rule settles get a chain complex of their own.
-The walk keeps 5 bytes per subset: its cover union and its cone vertex.
+The walk keeps 5 bytes per subset, 9 past 32 vertices: its cover union
+and its cone vertex.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations, islice
-from math import comb
+from itertools import chain, combinations
 from typing import Iterator
 
 from .bitsets import is_subset, iter_vertices, vertices_of
@@ -42,22 +40,6 @@ from .errors import NotASphereCandidate, ParameterOutOfRange, VertexCapExceeded
 from .homology import ZERO_GROUP, Abelian, ChainComplexZ, pseudo_sphere_check, sum_groups
 
 DEFAULT_VERTEX_CAP = 24
-
-
-def _thread_count(threads: int | None = None) -> int:
-    """``threads``, else ``MOMENT_ANGLE_THREADS`` (1 when unset or empty); under 1 is refused."""
-    name, value = "threads", threads
-    if threads is None:
-        name, value = "MOMENT_ANGLE_THREADS", os.environ.get("MOMENT_ANGLE_THREADS")
-        if not value:
-            return 1
-        try:
-            threads = int(value)
-        except ValueError:
-            threads = 0  # refused below, like any count under 1
-    if threads < 1:
-        raise ParameterOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
-    return threads
 
 
 @dataclass
@@ -237,78 +219,37 @@ def _subset_cohomology(complex_: SimplicialComplex, subset: int) -> list:
     return [(d, group) for d, group in groups.items() if not group.is_zero]
 
 
-def _subsets(bits: list, stretches) -> Iterator[int]:
-    """The masks of each (k, i, count) stretch in turn, in lex order.
+def _subsets(m: int) -> Iterator[int]:
+    """Every subset of [m] as a mask, in table order: by size, then lexicographically."""
+    bits = [1 << i for i in range(m)]
+    return chain.from_iterable(map(sum, combinations(bits, k)) for k in range(m + 1))
 
-    A stretch is the first ``count`` k-subsets of bits[i:]: the runs (k, i),
-    (k, i + 1) and on of :func:`_batches`.
+
+def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
+    """The nonzero entries (J, d) -> group of every full subcomplex, in table order.
+
+    Each J is met after all its subsets, so J - h and any reduction J - v
+    are settled by then.
     """
-    return chain.from_iterable(
-        islice(map(sum, combinations(bits[i:], k)), count) for k, i, count in stretches
-    )
-
-
-@cache
-def _batches(m: int, threads: int) -> list:
-    """The table order cut into contiguous batches of whole runs, about 8 per worker.
-
-    Run (k, i) is the subsets of size k whose lowest vertex is i + 1 (i = 0
-    for the empty set); lex order lists each run in one stretch, and the
-    runs follow in (k, i) order.  A batch is (first, stretches, parents):
-    the (k, i) of its first run; its subsets, as one stretch of
-    :func:`_subsets` per size; and the stretches before it that hold the
-    parents J - h of its subsets, whose unions it must find by itself.
-    """
-    runs = [(0, 0, 1)]
-    for k in range(1, m + 1):
-        for i in range(m - k + 1):
-            runs.append((k, i, comb(m - 1 - i, k - 1)))
-    chunk = -(-(1 << m) // (threads * 8)) if threads > 1 and m >= 6 else 1 << m
-    batches = []
-    filled = chunk
-    for k, i, count in runs:
-        if filled >= chunk:
-            first, stretches, parents, filled = (k, i), [], [], 0
-            batches.append((first, stretches, parents))
-        filled += count
-        if stretches and stretches[-1][0] == k:
-            stretches[-1][2] += count
-        else:
-            stretches.append([k, i, count])
-        # the parents of run (k, i) form run (k - 1, i)
-        if k > 1 and (k - 1, i) < first:
-            parents.append((k - 1, i, comb(m - 1 - i, k - 2)))
-    return batches
-
-
-def _batch_worker(args):
-    """(J, groups) for the subsets J of one batch with nonzero groups, in table order.
-
-    A subset whose cone reduction lands before the batch gets the reduced
-    subset itself in place of its groups; the caller, which has met every
-    earlier batch, looks them up.
-    """
-    complex_, (first, stretches, parents), prune = args
-    bits = [1 << i for i in range(complex_.m)]
-    subsets = _subsets(bits, stretches)
+    entries = {}
     if not prune:
-        return [(s, groups) for s in subsets if (groups := _subset_cohomology(complex_, s))]
+        for subset in _subsets(complex_.m):
+            for d, group in _subset_cohomology(complex_, subset):
+                entries[(subset, d)] = group
+        return entries
     links = _vertex_links(complex_)
-    neighbours = [0, *(links[bit][0] for bit in bits)]  # by vertex index + 1
+    neighbours = [0, *(links[1 << i][0] for i in range(complex_.m))]  # by vertex index + 1
     ghosts = ~complex_.vertex_support()
-    missing = complex_.missing_faces()
-    by_top = _missing_by_top(missing, complex_.m)
+    by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
     # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
     # needs no import, unlike the array module
     code, width = ("I", 4) if complex_.m <= 32 else ("Q", 8)
     unions = memoryview(bytearray(width << complex_.m)).cast(code)
-    for parent in _subsets(bits, parents):
-        unions[parent] = _missing_union(parent, missing)
     # 1 byte per subset: the cone vertex of each covered subset, as its
-    # index + 1, or 0 when none is known (the parents before the batch)
+    # index + 1, or 0 when none is known
     witnesses = bytearray(1 << complex_.m)
-    found = {}  # subset -> nonzero groups, or the subset before the batch it reduces to
-    for subset in subsets:
+    found = {}  # subset -> its nonzero groups
+    for subset in _subsets(complex_.m):
         if not _covered_by_missing(subset, unions, by_top):
             continue
         high = 1 << subset.bit_length() >> 1
@@ -317,20 +258,22 @@ def _batch_worker(args):
             witness = _cone_witness(subset, links)
         if witness > 0:
             witnesses[subset] = witness
-            smaller = subset ^ 1 << witness >> 1
-            groups = found.get(smaller)
-            # a reduction is never empty, so its run is (size, lowest vertex - 1)
-            if groups is None and (
-                (smaller.bit_count(), (smaller & -smaller).bit_length() - 1) < first
-            ):
-                groups = smaller
+            groups = found.get(subset ^ 1 << witness >> 1)
         elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
             groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
         else:
             groups = _subset_cohomology(complex_, subset)
         if groups:
             found[subset] = groups
-    return list(found.items())
+            for d, group in groups:
+                entries[(subset, d)] = group
+    return entries
+
+
+def _refuse_threads(threads: int) -> None:
+    """Refuse a ``threads`` other than 1: the sweep runs in this process only."""
+    if threads != 1:
+        raise ParameterOutOfRange(f"threads must be 1 (one process), got {threads!r}")
 
 
 def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
@@ -338,7 +281,8 @@ def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
     if complex_.m > max_vertices:
         raise VertexCapExceeded(
             f"vertex count {complex_.m} exceeds the cap {max_vertices}; "
-            "raise the cap explicitly to spend 2^m time and 5 * 2^m bytes"
+            "raise the cap explicitly to spend 2^m time and 5 * 2^m bytes "
+            "(9 * 2^m past 32 vertices)"
         )
 
 
@@ -346,46 +290,28 @@ def bigraded_betti(
     complex_: SimplicialComplex,
     *,
     prune: bool = True,
-    threads: int | None = None,
+    threads: int = 1,
     max_vertices: int = DEFAULT_VERTEX_CAP,
 ) -> BigradedBetti:
     """Reduced cohomology of every full subcomplex, nonzero entries only.
 
-    Enumerates all 2^m subsets and keeps 5 bytes for each, so
-    ``max_vertices`` refuses to run on large ground sets instead of silently
-    taking days; raise it explicitly if you mean it.  ``prune=False`` turns
-    off all three rules of the module docstring, the missing-face cover
-    test, the cone-link (strong collapse) reduction after Barmak and Minian
-    and the closed form for a set of points, so every subset gets a chain
-    complex of its own: the slow oracle for the fast path.
+    Enumerates all 2^m subsets and keeps 5 bytes for each, 9 past 32
+    vertices, so ``max_vertices`` refuses to run on large ground sets
+    instead of silently taking days; raise it explicitly if you mean it.
+    ``prune=False`` turns off all three rules of the module docstring, the
+    missing-face cover test, the cone-link (strong collapse) reduction
+    after Barmak and Minian and the closed form for a set of points, so
+    every subset gets a chain complex of its own: the slow oracle for the
+    fast path.
 
     Subsets are visited by size, then lexicographically, the order of the
-    table, so the entries need no sort.  ``threads`` > 1 splits that order
-    into batches of whole runs, the subsets of one size with one lowest
-    vertex; the batches come back in order, so the result does not depend
-    on ``threads``; a count under 1 is refused (:func:`_thread_count`).
+    table, so the entries need no sort.  The sweep runs in this process, so
+    ``threads`` accepts only 1; the keyword stays because
+    ``perfbench/workloads.py`` and ``perfbench/selftest.py`` pass ``threads=1``.
     """
     check_vertex_cap(complex_, max_vertices)
-    threads = _thread_count(threads)
-    batches = _batches(complex_.m, threads)
-    if len(batches) == 1:
-        found = [_batch_worker((complex_, batches[0], prune))]
-    else:
-        # imported here: loading the pool (multiprocessing, socket) costs
-        # about as much as the rest of the package's import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            found = list(pool.map(_batch_worker, [(complex_, batch, prune) for batch in batches]))
-    groups_of = {}
-    entries = {}
-    for batch in found:
-        for subset, groups in batch:
-            if type(groups) is int:  # handed back: the groups of a subset of an earlier batch
-                groups = groups_of.get(groups, ())
-            groups_of[subset] = groups
-            for d, group in groups:
-                entries[(subset, d)] = group
+    _refuse_threads(threads)
+    entries = _sweep(complex_, prune)
     return BigradedBetti._in_table_order(m=complex_.m, dim=complex_.dim(), entries=entries)
 
 

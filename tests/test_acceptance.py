@@ -65,7 +65,7 @@ def test_criterion_1_missing_face_golden():
 
 def test_criterion_2_betti_table(p28):
     start = time.perf_counter()
-    table = zk_betti(p28, threads=1)
+    table = zk_betti(p28)
     elapsed = time.perf_counter() - start
     assert {p: g.rank for p, g in table.items() if g.rank} == TARGET_BETTI
     assert all(not g.torsion for g in table.values())

@@ -121,11 +121,6 @@ class TestZk:
     def test_method_all(self, pentagon_file, capsys):
         assert run_cli(["zk", pentagon_file, "--method", "all"], capsys)[0] == 0
 
-    def test_determinism_across_threads(self, p28_file, capsys):
-        _, single, _ = run_cli(["zk", p28_file, "--json", "--threads", "1"], capsys)
-        _, multi, _ = run_cli(["zk", p28_file, "--json", "--threads", "2"], capsys)
-        assert single == multi
-
     def test_cap_exceeded_names_the_flag(self, tmp_path, capsys):
         big = tmp_path / "big.cplx"
         run_cli(["construct", "polygon", "25", "--out", str(big)], capsys)
@@ -214,37 +209,6 @@ class TestReports:
     def test_missing_file(self, capsys):
         assert run_cli(["zk", "/no/such/file.cplx"], capsys)[0] == 2
 
-    def test_thread_env_var_sets_the_default(self, p28_file, capsys, monkeypatch):
-        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "2")
-        code, multi, _ = run_cli(["zk", p28_file, "--json"], capsys)
-        assert code == 0
-        monkeypatch.delenv("MOMENT_ANGLE_THREADS")
-        _, single, _ = run_cli(["zk", p28_file, "--json"], capsys)
-        assert multi == single
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_malformed_thread_env_var_is_refused(self, p28_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("MOMENT_ANGLE_THREADS", value)
-        code, out, err = run_cli(["zk", p28_file], capsys)
-        assert (code, out) == (2, "")
-        assert "MOMENT_ANGLE_THREADS" in err and repr(value) in err
-
-    @pytest.mark.parametrize("argv", [
-        ["zk", "--threads", "0"], ["zk", "--method", "koszul", "--threads", "-3"],
-        ["ring", "--threads", "0"],
-    ], ids=" ".join)
-    def test_thread_flag_under_one_is_refused(self, p28_file, capsys, argv):
-        code, out, err = run_cli([argv[0], p28_file, *argv[1:]], capsys)
-        assert (code, out) == (2, "")
-        assert "threads must be an integer >= 1" in err
-
-    @pytest.mark.parametrize("command", ["zk", "paper"])
-    def test_threads_flag_reaches_every_sweep(self, p28_file, capsys, monkeypatch, command):
-        # the variable is read only where --threads is not given
-        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "abc")
-        argv = [command, *([p28_file] if command == "zk" else []), "--threads", "1"]
-        assert run_cli(argv, capsys)[0] == 0
-
     @pytest.mark.parametrize("argv", [["zk", "--method", "all"], ["crosscheck"]], ids=" ".join)
     def test_method_disagreement_exits_1(self, pentagon_file, capsys, monkeypatch, argv):
         def disagree(*_args, **_kwargs):
@@ -320,7 +284,8 @@ TEXT_DIGESTS = {
 
 # options a subcommand does not read: refused, not ignored
 REFUSED = [
-    "betti --threads 2",
+    "zk --threads 1",
+    "paper --threads 1",
     "betti --max-vertices 9",
     "paper --max-vertices 9",
     "zk --method koszul --bigraded",
@@ -359,16 +324,6 @@ class TestSubprocess:
         second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
-
-    def test_import_leaves_the_process_pool_unloaded(self):
-        # the pool is imported only by a sweep with threads > 1
-        code = "import sys, moment_angle; print('concurrent.futures' in sys.modules)"
-        env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
 
     def test_emitted_complex_reingests_identically(self, tmp_path):
         env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}

@@ -23,7 +23,7 @@ from moment_angle import (
 )
 from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate, ParameterOutOfRange
-from moment_angle.hochster import BigradedBetti, _batch_worker, _batches, _subsets
+from moment_angle.hochster import BigradedBetti, _subsets
 from test_homology import P28, RP2
 
 Z = Abelian(1, ())
@@ -186,49 +186,20 @@ class TestBigraded:
         assert pruned.entries == unpruned.entries
         assert list(pruned.entries) == list(unpruned.entries)
 
-    # reductions on these inputs reach below the first run of a batch
-    @pytest.mark.parametrize("threads", [2, 3])
-    @pytest.mark.parametrize(
-        "complex_", [P28, polygon(12), truncated_simplex(4, 6)], ids=["p28", "polygon-12", "truncated-simplex-4-6"]
-    )
-    def test_thread_count_does_not_change_output(self, complex_, threads):
-        single = bigraded_betti(complex_, threads=1)
-        multi = bigraded_betti(complex_, threads=threads)
-        assert single.entries == multi.entries
-        assert list(single.entries) == list(multi.entries)
-        unpruned = bigraded_betti(complex_, prune=False, threads=threads)
-        assert list(unpruned.entries.items()) == list(single.entries.items())
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_under_one_is_refused(self, threads, monkeypatch):
-        # refused whether or not the variable names a valid count
-        monkeypatch.setenv("MOMENT_ANGLE_THREADS", "2")
-        with pytest.raises(ParameterOutOfRange, match=f"got {threads}"):
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_threads_other_than_one_are_refused(self, threads):
+        with pytest.raises(ParameterOutOfRange, match=f"threads must be 1.*got {threads}"):
             bigraded_betti(polygon(6), threads=threads)
+        assert bigraded_betti(polygon(6), threads=1).entries == bigraded_betti(polygon(6)).entries
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_batches_cover_the_table_order(self, threads):
-        bits = [1 << i for i in range(12)]
-        batches = _batches(12, threads)
-        assert (len(batches) == 1) == (threads == 1)
-        visited = [s for _, stretches, _ in batches for s in _subsets(bits, stretches)]
+    def test_subsets_are_the_table_order(self):
+        visited = list(_subsets(12))
         assert visited == sorted(range(1 << 12), key=lambda s: (s.bit_count(), lex_key(s)))
 
-    def test_batches_hand_back_reductions_before_them(self):
-        # the threads tests above resolve some groups in the caller
-        handed_back = [
-            subset
-            for batch in _batches(12, 3)
-            for subset, groups in _batch_worker((polygon(12), batch, True))
-            if type(groups) is int
-        ]
-        assert handed_back
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_sweep_emits_table_order(self, small_corpus, threads):
+    def test_sweep_emits_table_order(self, small_corpus):
         # the sweep builds its table without sorting, so its own order is pinned
         for complex_ in [*small_corpus, polygon(10), polygon(11), polygon(12), P28, RP2]:
-            keys = list(bigraded_betti(complex_, threads=threads).entries)
+            keys = list(bigraded_betti(complex_).entries)
             assert keys == sorted(keys, key=lambda key: (key[0].bit_count(), lex_key(key[0]), key[1]))
 
     def test_entries_are_in_size_then_lex_order(self):

@@ -23,7 +23,6 @@ from moment_angle import (
 from moment_angle import hochster
 from moment_angle.bitsets import iter_vertices, shuffle_sign
 from moment_angle.hochster import (
-    _batches,
     _cone_witness,
     _covered_by_missing,
     _missing_by_top,
@@ -131,10 +130,8 @@ class TestPruning:
             missing = complex_.missing_faces()
             by_top = _missing_by_top(missing, complex_.m)
             unions = [0] * (1 << complex_.m)
-            bits = [1 << i for i in range(complex_.m)]
             visited = 0
-            ((_, stretches, _),) = _batches(complex_.m, 1)
-            for subset in _subsets(bits, stretches):
+            for subset in _subsets(complex_.m):
                 visited += 1
                 union = _missing_union(subset, missing)
                 assert _covered_by_missing(subset, unions, by_top) == (union == subset), (complex_, subset)
@@ -176,8 +173,7 @@ class TestPruning:
             by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
             unions = [0] * (1 << complex_.m)
             witnesses = {}
-            ((_, stretches, _),) = _batches(complex_.m, 1)
-            for subset in _subsets([1 << i for i in range(complex_.m)], stretches):
+            for subset in _subsets(complex_.m):
                 if not _covered_by_missing(subset, unions, by_top):
                     continue
                 high = 1 << subset.bit_length() >> 1
@@ -238,7 +234,7 @@ class TestPruning:
 
         monkeypatch.setattr(hochster, "_subset_cohomology", recording)
         for complex_ in [*self.cone_link_inputs(small_corpus, p28), polygon(10)]:
-            bigraded_betti(complex_, threads=1)
+            bigraded_betti(complex_)
         ghosts_built = 0
         for complex_, subset in built:
             edgeless = not any(edge & ~subset == 0 for edge in complex_.faces(1))
@@ -246,11 +242,12 @@ class TestPruning:
             assert not edgeless or subset.bit_count() < 2 or subset & ~complex_.vertex_support()
         assert ghosts_built
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_pruned_equals_unpruned(self, small_corpus, p28, threads):
+    def test_pruned_equals_unpruned(self, small_corpus, p28):
         complexes = [
             *small_corpus[:12],
             polygon(10),
+            polygon(12),
+            truncated_simplex(4, 6),
             truncated_simplex(3, 6),
             cross_polytope(4),
             RP2,
@@ -258,8 +255,8 @@ class TestPruning:
             GHOST,
         ]
         for complex_ in complexes:
-            pruned = bigraded_betti(complex_, prune=True, threads=threads).entries
-            unpruned = bigraded_betti(complex_, prune=False, threads=threads).entries
+            pruned = bigraded_betti(complex_, prune=True).entries
+            unpruned = bigraded_betti(complex_, prune=False).entries
             assert pruned == unpruned, complex_
             assert list(pruned) == list(unpruned), complex_
 
