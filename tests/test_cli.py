@@ -209,6 +209,13 @@ class TestReports:
     def test_missing_file(self, capsys):
         assert run_cli(["zk", "/no/such/file.cplx"], capsys)[0] == 2
 
+    # the sweep reads no environment variable: a leftover setting changes nothing
+    @pytest.mark.parametrize("value", ["abc", "0", "2"])
+    def test_thread_env_var_is_not_read(self, p28_file, capsys, monkeypatch, value):
+        _, expected, _ = run_cli(["zk", p28_file, "--json"], capsys)
+        monkeypatch.setenv("MOMENT_ANGLE_THREADS", value)
+        assert run_cli(["zk", p28_file, "--json"], capsys) == (0, expected, "")
+
     @pytest.mark.parametrize("argv", [["zk", "--method", "all"], ["crosscheck"]], ids=" ".join)
     def test_method_disagreement_exits_1(self, pentagon_file, capsys, monkeypatch, argv):
         def disagree(*_args, **_kwargs):
@@ -285,7 +292,10 @@ TEXT_DIGESTS = {
 # options a subcommand does not read: refused, not ignored
 REFUSED = [
     "zk --threads 1",
+    "zk --method koszul --threads 2",
     "paper --threads 1",
+    "ring --threads 1",
+    "crosscheck --threads 1",
     "betti --max-vertices 9",
     "paper --max-vertices 9",
     "zk --method koszul --bigraded",
@@ -324,6 +334,19 @@ class TestSubprocess:
         second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
+
+    def test_sweep_runs_in_process(self):
+        # a whole zk run loads neither a process pool nor multiprocessing
+        code = (
+            "import sys; from moment_angle.cli import main; main(['zk', 'tests/data/p28_8.cplx']);"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("\n[]\n")
 
     def test_emitted_complex_reingests_identically(self, tmp_path):
         env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}

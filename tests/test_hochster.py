@@ -21,6 +21,7 @@ from moment_angle import (
     vertices_of,
     zk_betti,
 )
+from moment_angle import hochster
 from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate, ParameterOutOfRange
 from moment_angle.hochster import BigradedBetti, _subsets
@@ -186,15 +187,35 @@ class TestBigraded:
         assert pruned.entries == unpruned.entries
         assert list(pruned.entries) == list(unpruned.entries)
 
-    @pytest.mark.parametrize("threads", [2, 0])
+    @pytest.mark.parametrize("threads", [2, 0, 3, -3])
     def test_threads_other_than_one_are_refused(self, threads):
         with pytest.raises(ParameterOutOfRange, match=f"threads must be 1.*got {threads}"):
             bigraded_betti(polygon(6), threads=threads)
         assert bigraded_betti(polygon(6), threads=1).entries == bigraded_betti(polygon(6)).entries
 
-    def test_subsets_are_the_table_order(self):
-        visited = list(_subsets(12))
-        assert visited == sorted(range(1 << 12), key=lambda s: (s.bit_count(), lex_key(s)))
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
+    def test_subsets_are_the_table_order(self, m):
+        visited = list(_subsets(m))
+        assert visited == sorted(range(1 << m), key=lambda s: (s.bit_count(), lex_key(s)))
+
+    # reductions on these inputs reach back across sizes, to groups the
+    # walk settled long before
+    @pytest.mark.parametrize(
+        "complex_", [P28, polygon(12), truncated_simplex(4, 6)], ids=["p28", "polygon-12", "truncated-simplex-4-6"]
+    )
+    def test_sweep_builds_each_subset_once(self, complex_, monkeypatch):
+        built = []
+
+        def recording(complex_, subset):
+            built.append(subset)
+            return subset_cohomology(complex_, subset)
+
+        subset_cohomology = hochster._subset_cohomology
+        monkeypatch.setattr(hochster, "_subset_cohomology", recording)
+        pruned = bigraded_betti(complex_)
+        assert 0 < len(built) == len(set(built)) < 1 << complex_.m
+        monkeypatch.setattr(hochster, "_subset_cohomology", subset_cohomology)
+        assert list(pruned.entries.items()) == list(bigraded_betti(complex_, prune=False).entries.items())
 
     def test_sweep_emits_table_order(self, small_corpus):
         # the sweep builds its table without sorting, so its own order is pinned

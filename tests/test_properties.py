@@ -242,19 +242,27 @@ class TestPruning:
             assert not edgeless or subset.bit_count() < 2 or subset & ~complex_.vertex_support()
         assert ghosts_built
 
-    def test_pruned_equals_unpruned(self, small_corpus, p28):
-        complexes = [
-            *small_corpus[:12],
-            polygon(10),
-            polygon(12),
-            truncated_simplex(4, 6),
-            truncated_simplex(3, 6),
-            cross_polytope(4),
-            RP2,
-            p28,
-            GHOST,
-        ]
-        for complex_ in complexes:
+    # one case per input, so a failure names the input it came from
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda corpus, p28: corpus[:12],
+            lambda corpus, p28: [polygon(10)],
+            lambda corpus, p28: [polygon(12)],
+            lambda corpus, p28: [truncated_simplex(4, 6)],
+            lambda corpus, p28: [truncated_simplex(3, 6)],
+            lambda corpus, p28: [cross_polytope(4)],
+            lambda corpus, p28: [RP2],
+            lambda corpus, p28: [p28],
+            lambda corpus, p28: [GHOST],
+        ],
+        ids=[
+            "corpus-12", "polygon-10", "polygon-12", "truncated-simplex-4-6",
+            "truncated-simplex-3-6", "cross-polytope-4", "rp2", "p28", "ghost",
+        ],
+    )
+    def test_pruned_equals_unpruned(self, small_corpus, p28, inputs):
+        for complex_ in inputs(small_corpus, p28):
             pruned = bigraded_betti(complex_, prune=True).entries
             unpruned = bigraded_betti(complex_, prune=False).entries
             assert pruned == unpruned, complex_

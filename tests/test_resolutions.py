@@ -221,7 +221,7 @@ class TestLyubeznik:
         monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 136)
         assert len(taylor_bigraded(p28).strata) == 40
 
-    @pytest.mark.parametrize("threads", [2, 0])
+    @pytest.mark.parametrize("threads", [2, 0, -1])
     def test_bad_thread_count_refused_before_the_taylor_side(self, p28, threads, monkeypatch):
         def no_taylor(*args, **kwargs):
             raise AssertionError("Taylor side started")
