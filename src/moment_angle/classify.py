@@ -293,9 +293,7 @@ def csp_obstructions(
     if table is None:
         table = bigraded_betti(complex_, **kwargs)
     missing = complex_.missing_faces()
-    degree_zero = [
-        vertices_of(subset) for (subset, d) in table.sorted_keys() if d == 0
-    ]
+    degree_zero = [vertices_of(subset) for (subset, d) in table.entries if d == 0]
 
     # long induced cycles kill the sphere-product shape; for dim >= 2 a
     # chordless cycle can never span the whole complex, so all are proper

@@ -36,7 +36,10 @@ from .errors import (
 def _as_mask(face) -> int:
     if isinstance(face, int):
         return face
-    return mask_of(face)
+    try:
+        return mask_of(face)
+    except ValueError as exc:  # a label below 1
+        raise VertexOutOfRange(str(exc)) from None
 
 
 def _relabeled(face: int, mask: int) -> int:
@@ -109,13 +112,6 @@ class SimplicialComplex:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<SimplicialComplex{label} m={self.m} facets={len(self.facets)}>"
-
-    def __getstate__(self):
-        return (self.m, self.facets, self.name, self.parent_vertices)
-
-    def __setstate__(self, state):
-        self.m, self.facets, self.name, self.parent_vertices = state
-        self._cache = {}
 
     # -- basic queries ------------------------------------------------------
 

@@ -46,39 +46,17 @@ DEFAULT_VERTEX_CAP = 24
 class BigradedBetti:
     """Nonzero groups of the subset decomposition, keyed by (J mask, degree).
 
-    ``entries`` is kept in table order, (|J|, lex J, degree).  The
-    constructor sorts them once: among subsets of one size, lex order is
-    descending order of the mask read with its bits reversed (vertex 1 the
-    highest of m bits), so the sort key needs no vertex tuple.  The sweep
-    visits subsets in table order already and builds its table with
-    :meth:`_in_table_order`, which skips the sort.
+    ``entries`` is in table order, (|J|, lex J, degree):
+    :func:`bigraded_betti` fills it in the order its walk visits the
+    subsets, and the table keeps the order it is given.
     """
 
     m: int
     dim: int
     entries: dict
 
-    def __post_init__(self):
-        m = self.m
-
-        def key(entry):
-            subset, d = entry
-            return (subset.bit_count(), -int(bin(subset)[:1:-1].ljust(m, "0"), 2), d)
-
-        self.entries = {k: self.entries[k] for k in sorted(self.entries, key=key)}
-
-    @classmethod
-    def _in_table_order(cls, m: int, dim: int, entries: dict) -> "BigradedBetti":
-        """A table of ``entries`` that are in table order already, not sorted again."""
-        table = object.__new__(cls)
-        table.m, table.dim, table.entries = m, dim, entries
-        return table
-
     def group(self, subset: int, d: int) -> Abelian:
         return self.entries.get((subset, d), ZERO_GROUP)
-
-    def sorted_keys(self) -> list:
-        return list(self.entries)
 
     def total(self) -> dict:
         """Aggregate by p = |J| + d + 1: the moment-angle Betti table."""
@@ -312,7 +290,7 @@ def bigraded_betti(
     check_vertex_cap(complex_, max_vertices)
     _refuse_threads(threads)
     entries = _sweep(complex_, prune)
-    return BigradedBetti._in_table_order(m=complex_.m, dim=complex_.dim(), entries=entries)
+    return BigradedBetti(m=complex_.m, dim=complex_.dim(), entries=entries)
 
 
 def zk_betti(complex_: SimplicialComplex, **kwargs) -> dict:

@@ -87,7 +87,7 @@ class ChainComplexZ:
     those stall, free faces (an element with a single coface, on a +-1
     entry), and eliminates only what neither move reaches.
     ``simplicial`` is set by :meth:`of_complex` and :meth:`of_subset` only:
-    two steps of the pass rely on every edge column being v - u.
+    the pass's critical-vertex step relies on every edge column being v - u.
     ``boundary_entries`` and :meth:`coboundary_matrix` give one map in local
     indices (positions within a degree), the second for cocycle bases.
     """
@@ -165,8 +165,6 @@ class ChainComplexZ:
         degree by degree with :func:`invariant_factors_sparse`.
         """
         table = {d: [] for d in range(self.bottom, self.top + 2)}
-        if self.simplicial and self.top <= 1:
-            return self._graph_factors(table)
         faces, columns = self.faces, self.columns
         alive, critical = self._reduction_pass()
         # A pair takes its upper element from degree d and its lower one
@@ -292,32 +290,6 @@ class ChainComplexZ:
                             if n == 2:
                                 free.append(h)
         return alive, critical
-
-    def _graph_factors(self, table: dict) -> dict:
-        """Factors of a simplicial complex of dimension at most 1, a graph.
-
-        The augmentation has the single factor 1, and the map out of the
-        edges has one factor 1 per edge of a spanning forest: V minus the
-        number of components.  One union-find pass counts them.
-        """
-        vertices = self.faces.get(0, ())
-        if not vertices:
-            return table
-        table[0] = [1]
-        parent = {v: v for v in vertices}
-        columns = self.columns
-        merges = 0
-        for e in self.faces.get(1, ()):
-            u, w = columns[e]
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[w] != w:
-                parent[w] = w = parent[parent[w]]
-            if u != w:
-                parent[u] = w
-                merges += 1
-        table[1] = [1] * merges
-        return table
 
     def homology(self) -> dict:
         """Homology groups; torsion comes from the map into the degree."""

@@ -43,7 +43,7 @@ from typing import Iterator
 from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
-from .homology import ZERO_GROUP, Abelian, ChainComplexZ, sum_groups
+from .homology import ZERO_GROUP, ChainComplexZ, sum_groups
 
 TAYLOR_BASIS_CAP = 1 << 20
 KOSZUL_BASIS_CAP = 1 << 22
@@ -59,9 +59,6 @@ class TorTable:
 
     entries: dict
     multigraded: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def group(self, i: int, j: int) -> Abelian:
-        return self.entries.get((i, j), ZERO_GROUP)
 
     def total(self) -> dict:
         """Aggregate to single degrees p = 2j - i."""
@@ -226,9 +223,6 @@ class TaylorTable:
 
     missing: tuple
     strata: dict
-
-    def group(self, r: int, support: int) -> Abelian:
-        return self.strata.get((r, support), ZERO_GROUP)
 
     def bidegrees(self) -> TorTable:
         return TorTable(

@@ -353,8 +353,8 @@ def ring_presentation(
     )
     keys = [
         (subset, d)
-        for (subset, d) in table.sorted_keys()
-        if subset.bit_count() + d + 1 > 0 and table.entries[(subset, d)].rank > 0
+        for (subset, d), group in table.entries.items()
+        if subset.bit_count() + d + 1 > 0 and group.rank > 0
     ]
     keys.sort(key=lambda key: (key[0].bit_count() + key[1] + 1, lex_key(key[0]), key[1]))
     generators = presentation.generators
@@ -439,6 +439,8 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
     :func:`.snf.row_basis`; a rank over Q does not depend on which basis
     is kept.  Returns ``{p: rank}`` with the degrees of rank 0 left out.
     """
+    if t < 1:
+        raise ParameterOutOfRange(f"t must be >= 1, got {t}")
     generators = presentation.generators
     blocks = presentation._blocks
     by_right = {}  # right factor -> [(left factor, terms)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import cli, cross_check, read_cplx, resolutions, write_cplx
+from moment_angle import cli, cross_check, homology, read_cplx, resolutions, snf, write_cplx
 from moment_angle.cli import main
 from moment_angle.errors import MethodDisagreement
 
@@ -17,9 +17,9 @@ REPO = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def benchmark_workloads():
-    """The benchmark's workload module, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+def benchmark_module(name: str):
+    """A module of the benchmark, ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -172,7 +172,7 @@ class TestReports:
 
     def test_crosscheck_json(self, pentagon_file, tmp_path, capsys):
         # the CLI and the benchmark's digest build the same payload, torsion included
-        workloads = benchmark_workloads()
+        workloads = benchmark_module("workloads")
         rp2 = tmp_path / "rp2.cplx"
         rp2.write_text(write_cplx(workloads.rp2_6()))
         for path, has_torsion in [(Path(pentagon_file), False), (rp2, True)]:
@@ -264,6 +264,27 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4a2c833c0a8f31c421905040eb38747aa2688a48dc84c4094c728db6841ba635"
         )
+
+
+class TestTracerPins:
+    """The library names the benchmark's tracer patches, which it finds by name."""
+
+    def test_every_patched_name_resolves(self):
+        unresolved = []
+        for module_name, path, *_ in benchmark_module("tracing").PATCHES:
+            owner = importlib.import_module(f"moment_angle.{module_name}")
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part, None)
+            if not hasattr(owner, attr):
+                unresolved.append(f"{module_name}.{path}")
+            elif outer and attr not in vars(owner):  # install() reads a method there
+                unresolved.append(f"{module_name}.{path} (not in the class __dict__)")
+        assert unresolved == []
+
+    def test_homology_reads_the_sparse_reduction_from_snf(self):
+        # the tracer patches it under every name; its self-test reads the homology one
+        assert homology.invariant_factors_sparse is snf.invariant_factors_sparse
 
 
 # exit code and SHA-256 of the text report on tests/data/p28_8.cplx, by subcommand

@@ -1,5 +1,6 @@
 """Construction, faces, missing faces, and the staged 8-vertex sphere."""
 
+import pickle
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -74,6 +75,23 @@ class TestConstruction:
             SimplicialComplex(3, [(1, 4)])
         with pytest.raises(VertexOutOfRange):
             SimplicialComplex(3, [()])
+
+    def test_label_below_one_is_out_of_range(self):
+        with pytest.raises(VertexOutOfRange, match="1-based, got 0"):
+            SimplicialComplex(3, [(0, 1)])
+        with pytest.raises(VertexOutOfRange, match="1-based, got -2"):
+            SimplicialComplex(3, [(1, 2), (-2, 3)])
+        with pytest.raises(VertexOutOfRange, match="1-based, got 0"):
+            polygon(4).full_subcomplex((0, 1))
+        with pytest.raises(ValueError):  # the bitset helper keeps its own error
+            mask_of((0, 1))
+
+    def test_pickle_round_trips_with_a_filled_cache(self):
+        complex_ = polygon(6)
+        complex_.missing_faces()
+        copy = pickle.loads(pickle.dumps(complex_))
+        assert copy == complex_
+        assert copy.missing_faces() == complex_.missing_faces()
 
     def test_isolated_vertex_rejected_unless_allowed(self):
         with pytest.raises(IsolatedVertex):

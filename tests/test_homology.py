@@ -105,8 +105,8 @@ class TestBasedFreeComplex:
         assert cc.homology() == {0: Abelian(0, (2,)), 1: Z}
         assert cc.cohomology() == {0: Abelian(0, ()), 1: Abelian(1, (2,))}
 
-    # Degrees -1..1 like an augmented graph, but not simplicial: neither the
-    # graph closed form nor dropping a vertex with an empty boundary holds.
+    # Degrees -1..1 like an augmented graph, but not simplicial, so the pass
+    # drops no vertex with an empty boundary.
 
     def test_doubled_edge_leaves_z_mod_2(self):
         # d(a) = d(b) = n, d(e) = 2a - 2b: H_0 = Z/2, not Z or 0
@@ -140,7 +140,7 @@ class TestSummandHomology:
 
     def direct_sum(self) -> ChainComplexZ:
         # summand k holds the faces of complex k as keys (k, face); not
-        # simplicial, so the pass neither drops vertices nor uses graph forms
+        # simplicial, so the pass drops no vertices
         faces: dict = {}
         columns = {}
         for k, complex_ in enumerate(self.SUMMANDS):
@@ -192,10 +192,30 @@ class TestCoreduction:
         cc = ChainComplexZ.of_complex(TWO_SPHERES)
         assert nonzero(cc.homology()) == {0: Z, 2: Abelian(2, ())}
 
-    def test_graphs_use_the_closed_form(self, no_elimination):
+    def test_graphs_need_no_elimination(self, no_elimination):
         cc = ChainComplexZ.of_complex(polygon(5).join(two_points()).full_subcomplex((1, 3, 6, 7)))
         assert cc.boundary_factor_table() == {-1: [], 0: [1], 1: [1, 1, 1], 2: []}
         assert nonzero(cc.homology()) == {1: Z}
+        # every full subcomplex of a 4-cycle, an edge, an isolated vertex and
+        # a ghost: the map out of the edges has one unit factor per edge of a
+        # spanning forest
+        graph = SimplicialComplex(8, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (7,)], allow_ghosts=True)
+        for subset in range(1 << 8):
+            vertices = [v for v in range(1, 8) if subset >> (v - 1) & 1]
+            root = {v: v for v in vertices}
+            for edge in graph.faces(1):
+                if edge & ~subset:
+                    continue
+                u, w = (v for v in vertices if edge >> (v - 1) & 1)
+                while root[u] != u:
+                    u = root[u]
+                while root[w] != w:
+                    w = root[w]
+                root[u] = w
+            components = sum(root[v] == v for v in vertices)
+            cc = ChainComplexZ.of_subset(graph, subset)
+            assert cc.boundary_factor_table()[0] == [1] * bool(vertices)
+            assert cc.boundary_factor_table().get(1, []) == [1] * (len(vertices) - components)
 
 
 class TestLeftoverCores:

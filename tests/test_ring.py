@@ -287,6 +287,12 @@ class TestRanks:
         assert product_span_rank(p28_ring, 3) == {12: 1}
         assert product_span_rank(p28_ring, 4) == {}
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_fewer_than_one_factor_is_refused(self, t):
+        presentation = ring_presentation(polygon(5))
+        with pytest.raises(ParameterOutOfRange, match="t must be >= 1"):
+            product_span_rank(presentation, t)
+
 
 def span_ranks_by_tuples(presentation, max_t):
     """Oracle: multiply out every set of disjoint generators as cochains.
