@@ -4,7 +4,7 @@ H^p of the moment-angle complex over a complex K on [m] splits as a direct
 sum of the reduced cohomology of all full subcomplexes K_J, one group per
 pair (J, d) with p = |J| + d + 1.  This module computes that table by
 visiting the subsets in the table's own order, by size and then
-lexicographically, so every smaller subset comes before J.  Three rules make
+lexicographically, so every smaller subset comes before J.  Four rules make
 the walk fast:
 
 * a subcomplex whose missing faces do not cover its vertex set is a join
@@ -21,7 +21,13 @@ the walk fast:
   v's link in K_J is then its link in K_{J - h}, so most subsets inherit
   their vertex from the walk and need no scan;
 * a subset of at least two vertices, none a ghost, where no vertex has a
-  neighbour is |J| points: H~^0 = Z^{|J| - 1} and nothing else.
+  neighbour is |J| points: H~^0 = Z^{|J| - 1} and nothing else;
+* if a missing face f inside J, of two or more vertices, meets no other
+  missing face inside J, every face of K_J is a proper subset of f joined
+  with a face of K_{J - f}.  So K_J is the join of the (|f| - 2)-sphere on
+  f's boundary with K_{J - f}, its (|f| - 1)-fold suspension, and
+  H~^d(K_J) = H~^{d - |f| + 1}(K_{J - f}) over Z, torsion included.  For
+  J = f this is H~^{-1}(K_0) = Z moved up to the sphere's top degree.
 
 Only the subsets that no rule settles get a chain complex of their own.
 The walk keeps 5 bytes per subset, 9 past 32 vertices: its cover union
@@ -192,6 +198,48 @@ def _cone_witness(subset: int, links: dict) -> int:
     return -1 if edgeless else 0
 
 
+def _missing_through(missing: tuple, m: int) -> list:
+    """Vertex index + 1 -> the missing faces of two or more vertices through it."""
+    through = [()] * (m + 1)
+    for face in missing:
+        if face.bit_count() > 1:
+            for v in iter_vertices(face):
+                through[v] = (*through[v], face)
+    return through
+
+
+def _only_face_inside(subset: int, faces: tuple) -> int:
+    """The one member of ``faces`` inside ``subset``; 0 when there are none or several."""
+    only = 0
+    for face in faces:
+        if face & subset == face:
+            if only:
+                return 0
+            only = face
+    return only
+
+
+def _isolated_missing_face(subset: int, through: list) -> int:
+    """A missing face f inside J, |f| >= 2, that no other missing face inside J meets; 0 if none.
+
+    Then K_J is the join of the sphere on f's proper subsets with K_{J - f}.
+    ``through`` is :func:`_missing_through`'s table.  The lowest vertex
+    left whose only missing face inside J is f proposes f, which is isolated
+    when f is the only one at each of its other vertices too; either way no
+    vertex of f can propose another face, so all of f is skipped.
+    """
+    rest = subset
+    while rest:
+        bit = rest & -rest
+        face = _only_face_inside(subset, through[bit.bit_length()])
+        if face and all(
+            _only_face_inside(subset, through[v]) == face for v in iter_vertices(face ^ bit)
+        ):
+            return face
+        rest &= ~(bit | face)
+    return 0
+
+
 def _subset_cohomology(complex_: SimplicialComplex, subset: int) -> list:
     groups = ChainComplexZ.of_subset(complex_, subset).cohomology()
     return [(d, group) for d, group in groups.items() if not group.is_zero]
@@ -219,6 +267,7 @@ def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
     neighbours = [0, *(links[1 << i][0] for i in range(complex_.m))]  # by vertex index + 1
     ghosts = ~complex_.vertex_support()
     by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
+    through = _missing_through(complex_.missing_faces(), complex_.m)
     # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
     # needs no import, unlike the array module
     code, width = ("I", 4) if complex_.m <= 32 else ("Q", 8)
@@ -239,6 +288,9 @@ def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
             groups = found.get(subset ^ 1 << witness >> 1)
         elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
             groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
+        elif face := _isolated_missing_face(subset, through):
+            shift = face.bit_count() - 1  # K_J = the (|f| - 1)-fold suspension of K_{J - f}
+            groups = [(d + shift, group) for d, group in found.get(subset ^ face, ())]
         else:
             groups = _subset_cohomology(complex_, subset)
         if groups:
@@ -276,11 +328,11 @@ def bigraded_betti(
     Enumerates all 2^m subsets and keeps 5 bytes for each, 9 past 32
     vertices, so ``max_vertices`` refuses to run on large ground sets
     instead of silently taking days; raise it explicitly if you mean it.
-    ``prune=False`` turns off all three rules of the module docstring, the
+    ``prune=False`` turns off all four rules of the module docstring, the
     missing-face cover test, the cone-link (strong collapse) reduction
-    after Barmak and Minian and the closed form for a set of points, so
-    every subset gets a chain complex of its own: the slow oracle for the
-    fast path.
+    after Barmak and Minian, the closed form for a set of points and the
+    suspension by an isolated missing face, so every subset gets a chain
+    complex of its own: the slow oracle for the fast path.
 
     Subsets are visited by size, then lexicographically, the order of the
     table, so the entries need no sort.  The sweep runs in this process, so

@@ -1,6 +1,7 @@
 """Structural invariants over the seeded corpus; zero tolerated failures."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from moment_angle import (
     reduced_homology,
     star_product,
     truncated_simplex,
+    two_points,
     zk_betti,
 )
 from moment_angle import hochster
@@ -25,7 +27,9 @@ from moment_angle.bitsets import iter_vertices, shuffle_sign
 from moment_angle.hochster import (
     _cone_witness,
     _covered_by_missing,
+    _isolated_missing_face,
     _missing_by_top,
+    _missing_through,
     _missing_union,
     _subset_cohomology as subset_cohomology,
     _subsets,
@@ -34,7 +38,7 @@ from moment_angle.hochster import (
 from moment_angle.homology import CohomologyBasis
 from moment_angle.ring import _check_cocycle
 from moment_angle.snf import matmul
-from test_homology import RP2
+from test_homology import P28, RP2
 
 ZERO = Abelian(0, ())
 
@@ -242,6 +246,83 @@ class TestPruning:
             assert not edgeless or subset.bit_count() < 2 or subset & ~complex_.vertex_support()
         assert ghosts_built
 
+    @staticmethod
+    def isolated_missing_faces(complex_, subset):
+        """Every missing face f inside J, |f| >= 2, that no other one inside J meets."""
+        inside = [f for f in complex_.missing_faces() if f & subset == f]
+        return [
+            f for f in inside
+            if f.bit_count() > 1 and not any(g != f and g & f for g in inside)
+        ]
+
+    def test_isolated_missing_faces_suspend_the_groups(self, small_corpus, p28):
+        # soundness of the join rule, subset by subset and for every face it
+        # could take: K_J = (boundary of f) * K_{J - f}, so H~^d(K_J) is
+        # H~^(d - |f| + 1)(K_{J - f}), torsion included; J = f is a sphere
+        # suspended from K_0's H~^-1 = Z
+        suspension = RP2.join(two_points())
+        inputs = [
+            *small_corpus[:12], p28, cross_polytope(4), GHOST, suspension, boundary_simplex(4)
+        ]
+        accepted = spheres = torsion = 0
+        for complex_ in inputs:
+            through = _missing_through(complex_.missing_faces(), complex_.m)
+            cohomology = nonzero_cohomology(complex_)
+            for subset in range(1 << complex_.m):
+                isolated = self.isolated_missing_faces(complex_, subset)
+                taken = _isolated_missing_face(subset, through)
+                assert taken in isolated if isolated else taken == 0, (complex_, subset)
+                for face in isolated:
+                    accepted += 1
+                    spheres += face == subset
+                    shift = face.bit_count() - 1
+                    shifted = {d + shift: g for d, g in cohomology(subset ^ face).items()}
+                    assert cohomology(subset) == shifted, (complex_, subset, face)
+                    torsion += any(g.torsion for g in shifted.values())
+        assert accepted > 1000 and spheres > 10 and torsion
+
+    # the chain complexes the sweep still builds: every K_J of a cross-polytope
+    # but K_0 is a join with S^0, so only the empty set gets one; the
+    # unpruned oracle takes seconds on cross-polytope 6, whose table has a
+    # closed form below instead
+    @pytest.mark.parametrize(
+        "build, built, unpruned",
+        [
+            (lambda: cross_polytope(5), 1, True),
+            (lambda: cross_polytope(6), 1, False),
+            (lambda: truncated_simplex(4, 8), 48, True),
+            (lambda: P28, 4, True),
+            (lambda: polygon(14), 2, True),
+        ],
+        ids=["cross-polytope-5", "cross-polytope-6", "truncated-simplex-4-8", "p28", "polygon-14"],
+    )
+    def test_sweep_builds_a_chain_complex_only_for_non_joins(self, build, built, unpruned, monkeypatch):
+        complex_ = build()
+        subsets = []
+
+        def recording(complex_, subset):
+            subsets.append(subset)
+            return subset_cohomology(complex_, subset)
+
+        monkeypatch.setattr(hochster, "_subset_cohomology", recording)
+        table = bigraded_betti(complex_)
+        assert len(subsets) == built
+        if unpruned:
+            assert table.entries == bigraded_betti(complex_, prune=False).entries
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cross_polytope_tables_are_antipodal_spheres(self, n):
+        # K_J is S^(k-1) when J is k antipodal pairs {2i - 1, 2i}, k >= 0,
+        # and a cone otherwise
+        complex_ = cross_polytope(n)
+        pairs = [0b11 << 2 * i for i in range(n + 1)]
+        expected = {
+            (sum(chosen), k - 1): Abelian(1, ())
+            for k in range(n + 2)
+            for chosen in combinations(pairs, k)
+        }
+        assert bigraded_betti(complex_).entries == expected
+
     # one case per input, so a failure names the input it came from
     @pytest.mark.parametrize(
         "inputs",
@@ -255,10 +336,11 @@ class TestPruning:
             lambda corpus, p28: [RP2],
             lambda corpus, p28: [p28],
             lambda corpus, p28: [GHOST],
+            lambda corpus, p28: [RP2.join(two_points())],
         ],
         ids=[
             "corpus-12", "polygon-10", "polygon-12", "truncated-simplex-4-6",
-            "truncated-simplex-3-6", "cross-polytope-4", "rp2", "p28", "ghost",
+            "truncated-simplex-3-6", "cross-polytope-4", "rp2", "p28", "ghost", "rp2-join-s0",
         ],
     )
     def test_pruned_equals_unpruned(self, small_corpus, p28, inputs):
