@@ -29,7 +29,9 @@ the walk fast:
   H~^d(K_J) = H~^{d - |f| + 1}(K_{J - f}) over Z, torsion included.  For
   J = f this is H~^{-1}(K_0) = Z moved up to the sphere's top degree.
 
-Only the subsets that no rule settles get a chain complex of their own.
+The empty set is settled in closed form: K_0 = {0} has H~^{-1} = Z and
+nothing else.  Only the nonempty subsets that no rule settles get a chain
+complex of their own.
 The walk keeps 5 bytes per subset, 9 past 32 vertices: its cover union
 and its cone vertex.
 """
@@ -288,6 +290,8 @@ def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
             groups = found.get(subset ^ 1 << witness >> 1)
         elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
             groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
+        elif not subset:
+            groups = [(-1, Abelian(1, ()))]  # K_0 = {0}: H~^-1 = Z
         elif face := _isolated_missing_face(subset, through):
             shift = face.bit_count() - 1  # K_J = the (|f| - 1)-fold suspension of K_{J - f}
             groups = [(d + shift, group) for d, group in found.get(subset ^ face, ())]

@@ -11,6 +11,9 @@ shape (Hochster's formula reads its cohomology off K_J; Buchstaber and
 Panov, *Toric Topology*, 2015, sections 3.2-3.3).  One pass over the faces
 gives every face tau its up-mask, the vertices v with tau + v a face, so
 the column of u_sigma v_tau is one loop over the bits of ``up[tau] & sigma``.
+Each piece is built whole and reduced on a smaller subcomplex with the same
+groups: with a the lowest vertex of J, the monomials with a in sigma and
+tau + a not a face, the relative cochains of (K_{J - a}, lk a).
 
 Taylor route: Lyubeznik's subcomplex of the Taylor complex on the missing
 faces (Lyubeznik 1988; Mermin, "Three simplicial resolutions", 2012).  A
@@ -24,14 +27,15 @@ stratum at a time.
 Koszul pieces (fixed J) and Taylor strata (fixed support) are built alike:
 one loop over each monomial's bits fills its column, d o d = 0 is checked on
 every monomial (:func:`_check_square`), and the result is a
-:class:`ChainComplexZ`.  :func:`koszul_bigraded` builds one piece per shape
-of K_J, the pieces of one size |J| as one direct sum reduced in one pass;
-:func:`koszul_pieces` builds every J's piece on its own, and
+:class:`ChainComplexZ`.  :func:`koszul_bigraded` builds one whole piece per
+shape of K_J, d o d checked on all of it, the pieces of one size |J| as one
+direct sum whose subcomplex off the lowest vertex's star is reduced in one
+pass; :func:`koszul_pieces` builds every J's whole piece on its own, and
 :func:`taylor_strata` yields the strata one at a time.  Both deliver groups
 per multidegree and per Tor bidegree (-i, 2j), recorded here as (i, J) and
 (i, j).  Both refuse, before building any complex, a basis over its budget:
-``KOSZUL_BASIS_CAP`` monomials or ``TAYLOR_BASIS_CAP`` admissible monomials,
-each counted up front.
+``KOSZUL_BASIS_CAP`` monomials of the whole Koszul complex, or
+``TAYLOR_BASIS_CAP`` admissible monomials, each counted up front.
 """
 
 from __future__ import annotations
@@ -68,20 +72,26 @@ class TorTable:
 def _check_square(columns: dict, method: str) -> dict:
     """``columns`` itself, once d o d = 0 is checked on every key.
 
-    Every key a column names must itself be a key of ``columns``; a nonzero
-    square raises :class:`NotAChainComplex`.
+    Every key a column names must itself be a key of ``columns``; a column
+    naming any other key, or a nonzero square, raises
+    :class:`NotAChainComplex`.
     """
-    for key, column in columns.items():
-        if len(column) == 1:  # c * mid, c != 0, squares to c * d(mid): nothing cancels
-            (mid,) = column
-            square = columns[mid]
-        else:
-            square = {}
-            for mid, sign in column.items():
-                for low, sign2 in columns[mid].items():
-                    square[low] = square.get(low, 0) + sign * sign2
-        if any(square.values()):
-            raise NotAChainComplex(f"{method} d*d != 0 on {key}")
+    try:
+        for key, column in columns.items():
+            if len(column) == 1:  # c * mid, c != 0, squares to c * d(mid): nothing cancels
+                (mid,) = column
+                square = columns[mid]
+            else:
+                square = {}
+                for mid, sign in column.items():
+                    for low, sign2 in columns[mid].items():
+                        square[low] = square.get(low, 0) + sign * sign2
+            if any(square.values()):
+                raise NotAChainComplex(f"{method} d*d != 0 on {key}")
+    except KeyError as error:
+        raise NotAChainComplex(
+            f"{method} column of {key} names {error.args[0]!r}, which has no column"
+        ) from None
     return columns
 
 
@@ -160,6 +170,34 @@ def _koszul_sum(complex_: SimplicialComplex, subsets, up: dict) -> ChainComplexZ
     return ChainComplexZ(basis, _check_square(_koszul_columns(basis, up, m), "koszul"))
 
 
+def _off_lowest_star(cc: ChainComplexZ, up: dict, m: int) -> ChainComplexZ:
+    """The subcomplex of Koszul pieces that :func:`koszul_bigraded` reduces.
+
+    With a the lowest vertex of J, it keeps the monomials u_sigma v_tau
+    of J's piece with a in sigma and tau + a not a face: the relative
+    cochains of (K_{J - a}, lk a), whose cohomology is K_J's by excision.
+    It is closed under d: a is not in ``up[tau]``, so every term is
+    u_{sigma - v} v_{tau + v} with v != a, and tau + a not a face implies
+    tau + v + a not one.  The rest of the piece is acyclic: it is the cone of
+    u_sigma v_tau -> +-u_{sigma - a} v_{tau + a}, a bijection with +-1
+    entries from {a in sigma, tau + a a face} onto {a in tau}.  So each
+    piece keeps its groups over Z, torsion included.  For J = 0 the one
+    monomial u_0 v_0 is kept.  ``cc`` may hold several pieces; it keeps its
+    columns and the order of its basis.
+    """
+    full = (1 << m) - 1
+    kept = {}
+    for i, monomials in cc.faces.items():
+        row = []
+        for mono in monomials:
+            tau = mono >> m
+            subset = mono & full | tau
+            if not (tau | up[tau]) & subset & -subset:
+                row.append(mono)
+        kept[i] = row
+    return ChainComplexZ(kept, cc.columns)
+
+
 def koszul_pieces(complex_: SimplicialComplex) -> Iterator[tuple]:
     """The Koszul quotient algebra as ``(J, ChainComplexZ)`` pieces, one per J.
 
@@ -186,11 +224,17 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
     vertices, so it depends only on :meth:`.SimplicialComplex.subset_shape`:
     the order-preserving relabeling keeps every sign.  The walk keys each of
     the 2^m subsets by its shape, and only the first J of a shape builds its
-    piece.  The pieces of one size |J| are built as one direct sum
-    (:func:`_koszul_sum`, where d o d = 0 is checked on every monomial) and
-    reduced in one pass (:meth:`.ChainComplexZ.summand_homology`); every J
-    of a shape takes its first J's groups.  They land in ``multigraded`` by
-    (i, J) and are summed into the bidegree (i, |J|).
+    piece.  The pieces of one size |J| are built whole as one direct sum
+    (:func:`_koszul_sum`, where d o d = 0 is checked on every monomial).
+    Only their subcomplex :func:`_off_lowest_star` is reduced, in one pass
+    (:meth:`.ChainComplexZ.summand_homology`): with a the lowest vertex of
+    J, the monomials u_sigma v_tau with a in sigma and tau + a not a face.
+    That is the relative cochain complex of (K_{J - a}, lk a), whose
+    cohomology is K_J's by excision, and the rest of the piece is acyclic,
+    so the groups are the piece's over Z, torsion included.  On p28 it
+    keeps 417 of the 2,857 monomials.  Every J of a shape takes its first
+    J's groups.  They land in ``multigraded`` by (i, J) and are summed into
+    the bidegree (i, |J|).
     """
     check_koszul_budget(complex_)
     m = complex_.m
@@ -205,7 +249,7 @@ def koszul_bigraded(complex_: SimplicialComplex) -> TorTable:
     multigraded = {}
     for classes in by_size:
         cc = _koszul_sum(complex_, [subsets[0] for subsets in classes], up)
-        groups = cc.summand_homology(lambda mono: mono & full | mono >> m)
+        groups = _off_lowest_star(cc, up, m).summand_homology(lambda mono: mono & full | mono >> m)
         for subsets in classes:
             for i, group in groups.get(subsets[0], {}).items():
                 for subset in subsets:

@@ -24,6 +24,12 @@ def test_broken_differential_is_refused():
         resolutions._check_square({"a": {"b": 1}, "b": {"c": 1}, "c": {}}, "test")
 
 
+def test_column_naming_an_unknown_key_is_refused():
+    # d(a) = b, but b has no column of its own
+    with pytest.raises(NotAChainComplex, match="'b'"):
+        resolutions._check_square({"a": {"b": 1}}, "test")
+
+
 def test_koszul_with_unsigned_differential_is_refused(monkeypatch):
     # without the Koszul signs the two paths u_12 -> v_12 add up instead of cancelling
     signed = resolutions._koszul_columns
@@ -69,4 +75,4 @@ def test_checks_fire_under_python_O():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     # the skip of this very test shows the run really was optimised
-    assert "4 passed, 1 skipped" in result.stdout, result.stdout
+    assert "5 passed, 1 skipped" in result.stdout, result.stdout

@@ -281,18 +281,18 @@ class TestPruning:
                     torsion += any(g.torsion for g in shifted.values())
         assert accepted > 1000 and spheres > 10 and torsion
 
-    # the chain complexes the sweep still builds: every K_J of a cross-polytope
-    # but K_0 is a join with S^0, so only the empty set gets one; the
-    # unpruned oracle takes seconds on cross-polytope 6, whose table has a
-    # closed form below instead
+    # the chain complexes the sweep still builds: every nonempty K_J of a
+    # cross-polytope is a join with S^0 and K_0 has its closed form, so a
+    # cross-polytope gets none; the unpruned oracle takes seconds on
+    # cross-polytope 6, whose table has a closed form below instead
     @pytest.mark.parametrize(
         "build, built, unpruned",
         [
-            (lambda: cross_polytope(5), 1, True),
-            (lambda: cross_polytope(6), 1, False),
-            (lambda: truncated_simplex(4, 8), 48, True),
-            (lambda: P28, 4, True),
-            (lambda: polygon(14), 2, True),
+            (lambda: cross_polytope(5), 0, True),
+            (lambda: cross_polytope(6), 0, False),
+            (lambda: truncated_simplex(4, 8), 47, True),
+            (lambda: P28, 3, True),
+            (lambda: polygon(14), 1, True),
         ],
         ids=["cross-polytope-5", "cross-polytope-6", "truncated-simplex-4-8", "p28", "polygon-14"],
     )

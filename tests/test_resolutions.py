@@ -1,5 +1,7 @@
 """Koszul quotient and Taylor complex computations, and their agreement."""
 
+from collections import Counter
+
 import pytest
 
 from moment_angle import (
@@ -112,6 +114,16 @@ NAMED = {
     "7-cycle+chords": seven_cycle_with_chords(),
     "7-cycle+chord{1,4}": seven_cycle_with_chords([(1, 4)]),
     "truncated-simplex 5 2": truncated_simplex(5, 2),
+}
+
+
+# a ghost is a vertex in no face, so K_J keeps no face through it
+GHOSTED = {
+    "ghost 6": SimplicialComplex(
+        6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (1, 5)], allow_ghosts=True
+    ),
+    "ghost 1": SimplicialComplex(5, [(2, 3), (3, 4), (2, 4), (4, 5)], allow_ghosts=True),
+    "no facets": SimplicialComplex(3, [], allow_ghosts=True),
 }
 
 
@@ -306,6 +318,57 @@ class TestSharedPieces:
     def test_corpus_sample(self, small_corpus):
         for complex_ in small_corpus:
             self.check(complex_)
+
+    @pytest.mark.parametrize("name", GHOSTED)
+    def test_ghost_vertices(self, name):
+        self.check(GHOSTED[name])
+
+
+class TestOffLowestStar:
+    """The subcomplex :func:`koszul_bigraded` reduces, piece by piece.
+
+    With a the lowest vertex of J, the monomials u_{J - tau} v_tau kept are
+    those of the faces tau of K_{J - a} outside the link of a, so their count
+    in degree i = |J - tau| is read here off the faces of the full
+    subcomplexes, not off the up-masks the filter uses.  They must be closed
+    under d and carry the groups of the whole piece.
+    """
+
+    @staticmethod
+    def check(complex_):
+        up = resolutions._up_masks(complex_)
+        for subset, cc in koszul_pieces(complex_):
+            kept = resolutions._off_lowest_star(cc, up, complex_.m)
+            basis = {mono for monomials in kept.faces.values() for mono in monomials}
+            for mono in basis:
+                assert set(cc.columns[mono]) <= basis, (complex_, subset, mono)
+            size = subset.bit_count()
+            expected = Counter()
+            if subset:
+                # relabeled, the lowest vertex a of J is vertex 1 of K_J
+                rest = complex_.full_subcomplex(subset ^ subset & -subset).face_set()
+                link = [f ^ 1 for f in complex_.full_subcomplex(subset).face_set() if f & 1]
+                expected.update(size - f.bit_count() for f in rest)
+                expected.subtract(size - f.bit_count() for f in link)
+            else:
+                expected[0] = 1
+            assert {i: len(monomials) for i, monomials in kept.faces.items()} == {
+                i: n for i, n in expected.items() if n
+            }, (complex_, subset)
+            nonzero = {i: g for i, g in cc.homology().items() if not g.is_zero}
+            assert {i: g for i, g in kept.homology().items() if not g.is_zero} == nonzero
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        self.check(NAMED[name])
+
+    def test_corpus_sample(self, small_corpus):
+        for complex_ in small_corpus:
+            self.check(complex_)
+
+    @pytest.mark.parametrize("name", GHOSTED)
+    def test_ghost_vertices(self, name):
+        self.check(GHOSTED[name])
 
 
 class TestPieceOracle:
