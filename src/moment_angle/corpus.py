@@ -15,6 +15,8 @@ from .bitsets import mask_of
 from .complexes import SimplicialComplex
 
 DEFAULT_SEED = 20240816
+MAX_VERTICES = 7  # vertices of a sample before relabelling to its support
+MAX_FACES = 220  # faces of a kept sample, the empty face included
 
 
 def _restrict_to_support(m: int, facets: list) -> SimplicialComplex | None:
@@ -31,8 +33,8 @@ def _restrict_to_support(m: int, facets: list) -> SimplicialComplex | None:
     return SimplicialComplex(len(verts), relabeled)
 
 
-def random_complex(rng: random.Random, max_vertices: int = 7) -> SimplicialComplex | None:
-    m = rng.randint(3, max_vertices)
+def random_complex(rng: random.Random) -> SimplicialComplex | None:
+    m = rng.randint(3, MAX_VERTICES)
     n_facets = rng.randint(2, m + 1)
     facets = []
     for _ in range(n_facets):
@@ -45,9 +47,7 @@ def random_complexes(
     count: int = 100,
     seed: int = DEFAULT_SEED,
     *,
-    max_vertices: int = 7,
     max_missing: int = 12,
-    max_faces: int = 220,
 ) -> list:
     """A deterministic list of complexes, filtered to tractable sizes."""
     rng = random.Random(seed)
@@ -56,7 +56,7 @@ def random_complexes(
     attempts = 0
     while len(out) < count and attempts < count * 200:
         attempts += 1
-        complex_ = random_complex(rng, max_vertices)
+        complex_ = random_complex(rng)
         if complex_ is None:
             continue
         key = (complex_.m, complex_.facets)
@@ -64,7 +64,7 @@ def random_complexes(
             continue
         if len(complex_.missing_faces()) > max_missing:
             continue
-        if len(complex_.face_set()) > max_faces:
+        if len(complex_.face_set()) > MAX_FACES:
             continue
         seen.add(key)
         out.append(complex_)

@@ -32,8 +32,12 @@ the walk fast:
 The empty set is settled in closed form: K_0 = {0} has H~^{-1} = Z and
 nothing else.  Only the nonempty subsets that no rule settles get a chain
 complex of their own.
-The walk keeps 5 bytes per subset, 9 past 32 vertices: its cover union
-and its cone vertex.
+
+The cover, cone and suspension rules read one per-vertex table, built once
+per sweep: v's record holds N(v), the minimal missing faces of lk v, the
+other ends of v's missing edges as one mask, and v's other missing faces,
+the larger ones and, for a ghost, {v} itself.  The walk keeps 5 bytes per
+subset, 9 past 32 vertices: its cover union and its cone vertex.
 """
 
 from __future__ import annotations
@@ -104,24 +108,56 @@ def total_json(totals: dict) -> list:
     ]
 
 
-def _covered_by_missing(subset: int, unions, by_top: list) -> bool:
+def _vertex_table(complex_: SimplicialComplex) -> list:
+    """One record per vertex v, by index + 1, for the cover, cone and suspension rules.
+
+    v's record is (N(v), the minimal missing faces of lk v, the other ends
+    of the missing edges through v as one mask, the other missing faces
+    through v): the larger ones, and {v} itself when v is a ghost.  A set
+    of neighbours is a non-face of the link exactly when it contains f - v
+    for some missing face f of K with f - v inside N(v), so the link's
+    missing faces are the minimal such sets.  Entry 0 is the empty record
+    that the cover test reads for J = 0.
+    """
+    missing = complex_.missing_faces()
+    table = [(0, (), 0, ())]
+    for bit in (1 << i for i in range(complex_.m)):
+        nbrs = 0
+        for facet in complex_.facets:
+            if facet & bit:
+                nbrs |= facet ^ bit
+        minimal = []
+        candidates = {f & ~bit for f in missing if is_subset(f & ~bit, nbrs)}
+        for face in sorted(candidates, key=int.bit_count):
+            if not any(is_subset(g, face) for g in minimal):
+                minimal.append(face)
+        ends = 0
+        for face in missing:
+            if face & bit and face.bit_count() == 2:
+                ends |= face ^ bit
+        faces = tuple(f for f in missing if f & bit and f.bit_count() != 2)
+        table.append((nbrs, tuple(minimal), ends, faces))
+    return table
+
+
+def _covered_by_missing(subset: int, unions, table: list) -> bool:
     """The cover test of the sweep: do the missing faces inside ``subset`` cover it?
 
     With h the highest vertex of J, the union of the missing faces inside J
-    is that of J - h together with the missing faces whose highest vertex
-    is h and that lie inside J.  ``unions`` holds the union of every subset
-    visited so far, J - h among them, and gets J's.  ``by_top[t]`` is the
-    missing faces whose highest vertex is t: the other ends of its edges
-    as one mask, since an edge {a, h} lies inside J exactly when a does,
-    and the larger faces as a tuple.  This stays one call per visited
-    subset, not a loop inlined into the sweep, because
-    ``perfbench/tracing.py`` counts the subsets visited and kept by
-    patching this function.
+    is that of J - h together with the missing faces inside J through h,
+    which are exactly those whose highest vertex is h.  ``unions`` holds
+    the union of every subset visited so far, J - h among them, and gets
+    J's.  h's record in :func:`_vertex_table` gives the other ends of its
+    missing edges as one mask, since an edge {a, h} lies inside J exactly
+    when a does, and its other missing faces as a tuple, where a ghost h
+    finds {h}.  This stays one call per visited subset, not a loop inlined
+    into the sweep, because ``perfbench/tracing.py`` counts the subsets
+    visited and kept by patching this function.
     """
     top = subset.bit_length()
     high = 1 << top >> 1
     union = unions[subset ^ high]
-    ends, faces = by_top[top]
+    _, _, ends, faces = table[top]
     if ends & subset:
         union |= ends & subset | high
     for face in faces:
@@ -129,19 +165,6 @@ def _covered_by_missing(subset: int, unions, by_top: list) -> bool:
             union |= face
     unions[subset] = union
     return union == subset
-
-
-def _missing_by_top(missing: tuple, m: int) -> list:
-    """The ``by_top`` table of :func:`_covered_by_missing`, t = 0 .. m."""
-    by_top = [(0, ())] * (m + 1)
-    for face in missing:
-        top = face.bit_length()
-        ends, faces = by_top[top]
-        if face.bit_count() == 2:
-            by_top[top] = (ends | face ^ 1 << top >> 1, faces)
-        else:
-            by_top[top] = (ends, (*faces, face))
-    return by_top
 
 
 def _missing_union(subset: int, missing: tuple) -> int:
@@ -156,42 +179,20 @@ def _missing_union(subset: int, missing: tuple) -> int:
     return union
 
 
-def _vertex_links(complex_: SimplicialComplex) -> dict:
-    """Vertex bit -> (N(v), missing faces of lk v), read off facets and missing faces.
-
-    A set of neighbours is a non-face of the link exactly when it contains
-    f - v for some missing face f of K with f - v inside N(v), so the link's
-    missing faces are the minimal such sets.
-    """
-    neighbours = dict.fromkeys((1 << i for i in range(complex_.m)), 0)
-    for facet in complex_.facets:
-        for v in iter_vertices(facet):
-            neighbours[1 << (v - 1)] |= facet
-    missing = complex_.missing_faces()
-    links = {}
-    for bit, nbrs in neighbours.items():
-        nbrs &= ~bit
-        minimal = []
-        candidates = {f & ~bit for f in missing if is_subset(f & ~bit, nbrs)}
-        for face in sorted(candidates, key=int.bit_count):
-            if not any(is_subset(g, face) for g in minimal):
-                minimal.append(face)
-        links[bit] = (nbrs, tuple(minimal))
-    return links
-
-
-def _cone_witness(subset: int, links: dict) -> int:
+def _cone_witness(subset: int, table: list) -> int:
     """The lowest v in J whose link in K_J is a nonempty cone, as its index + 1.
 
-    Without one, 0 when some vertex of J has a neighbour in J, -1 when none
-    does.
+    v's link in K_J has the vertices N(v) & J and the missing faces of lk v
+    inside them, both read off v's record in :func:`_vertex_table`; it is a
+    nonempty cone when those faces do not cover N(v) & J.  Without such a
+    v, 0 when some vertex of J has a neighbour in J, -1 when none does.
     """
     edgeless = True
     rest = subset
     while rest:
         bit = rest & -rest
         rest ^= bit
-        nbrs, link_missing = links[bit]
+        nbrs, link_missing, _, _ = table[bit.bit_length()]
         nbrs &= subset
         if nbrs:
             if _missing_union(nbrs, link_missing) != nbrs:
@@ -200,19 +201,13 @@ def _cone_witness(subset: int, links: dict) -> int:
     return -1 if edgeless else 0
 
 
-def _missing_through(missing: tuple, m: int) -> list:
-    """Vertex index + 1 -> the missing faces of two or more vertices through it."""
-    through = [()] * (m + 1)
-    for face in missing:
-        if face.bit_count() > 1:
-            for v in iter_vertices(face):
-                through[v] = (*through[v], face)
-    return through
-
-
-def _only_face_inside(subset: int, faces: tuple) -> int:
-    """The one member of ``faces`` inside ``subset``; 0 when there are none or several."""
-    only = 0
+def _only_face_at(subset: int, v: int, table: list) -> int:
+    """The one missing face inside J through v, read off v's record; 0 if none or several."""
+    _, _, ends, faces = table[v]
+    edges = ends & subset
+    if edges & edges - 1:
+        return 0
+    only = edges | 1 << v >> 1 if edges else 0
     for face in faces:
         if face & subset == face:
             if only:
@@ -221,21 +216,24 @@ def _only_face_inside(subset: int, faces: tuple) -> int:
     return only
 
 
-def _isolated_missing_face(subset: int, through: list) -> int:
+def _isolated_missing_face(subset: int, table: list) -> int:
     """A missing face f inside J, |f| >= 2, that no other missing face inside J meets; 0 if none.
 
     Then K_J is the join of the sphere on f's proper subsets with K_{J - f}.
-    ``through`` is :func:`_missing_through`'s table.  The lowest vertex
-    left whose only missing face inside J is f proposes f, which is isolated
-    when f is the only one at each of its other vertices too; either way no
-    vertex of f can propose another face, so all of f is skipped.
+    The missing faces inside J through v are read off v's record in
+    :func:`_vertex_table`, its missing edges inside J by one ``&``.  The
+    lowest vertex left whose only missing face inside J is f proposes f,
+    which is isolated when f has two or more vertices and is the only one
+    at each of its other vertices too; either way no vertex of f can
+    propose another face, so all of f is skipped.  A ghost proposes {v},
+    which is never taken.
     """
     rest = subset
     while rest:
         bit = rest & -rest
-        face = _only_face_inside(subset, through[bit.bit_length()])
-        if face and all(
-            _only_face_inside(subset, through[v]) == face for v in iter_vertices(face ^ bit)
+        face = _only_face_at(subset, bit.bit_length(), table)
+        if face & ~bit and all(
+            _only_face_at(subset, v, table) == face for v in iter_vertices(face ^ bit)
         ):
             return face
         rest &= ~(bit | face)
@@ -259,49 +257,42 @@ def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
     Each J is met after all its subsets, so J - h and any reduction J - v
     are settled by then.
     """
-    entries = {}
+    found = {}  # subset -> its nonzero groups, in table order
     if not prune:
         for subset in _subsets(complex_.m):
-            for d, group in _subset_cohomology(complex_, subset):
-                entries[(subset, d)] = group
-        return entries
-    links = _vertex_links(complex_)
-    neighbours = [0, *(links[1 << i][0] for i in range(complex_.m))]  # by vertex index + 1
-    ghosts = ~complex_.vertex_support()
-    by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
-    through = _missing_through(complex_.missing_faces(), complex_.m)
-    # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
-    # needs no import, unlike the array module
-    code, width = ("I", 4) if complex_.m <= 32 else ("Q", 8)
-    unions = memoryview(bytearray(width << complex_.m)).cast(code)
-    # 1 byte per subset: the cone vertex of each covered subset, as its
-    # index + 1, or 0 when none is known
-    witnesses = bytearray(1 << complex_.m)
-    found = {}  # subset -> its nonzero groups
-    for subset in _subsets(complex_.m):
-        if not _covered_by_missing(subset, unions, by_top):
-            continue
-        high = 1 << subset.bit_length() >> 1
-        witness = witnesses[subset ^ high]
-        if not witness or neighbours[witness] & high:
-            witness = _cone_witness(subset, links)
-        if witness > 0:
-            witnesses[subset] = witness
-            groups = found.get(subset ^ 1 << witness >> 1)
-        elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
-            groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
-        elif not subset:
-            groups = [(-1, Abelian(1, ()))]  # K_0 = {0}: H~^-1 = Z
-        elif face := _isolated_missing_face(subset, through):
-            shift = face.bit_count() - 1  # K_J = the (|f| - 1)-fold suspension of K_{J - f}
-            groups = [(d + shift, group) for d, group in found.get(subset ^ face, ())]
-        else:
-            groups = _subset_cohomology(complex_, subset)
-        if groups:
-            found[subset] = groups
-            for d, group in groups:
-                entries[(subset, d)] = group
-    return entries
+            found[subset] = _subset_cohomology(complex_, subset)
+    else:
+        table = _vertex_table(complex_)
+        ghosts = ~complex_.vertex_support()
+        # 4 bytes per subset (8 past 32 vertices), zeroed; a bytearray view
+        # needs no import, unlike the array module
+        code, width = ("I", 4) if complex_.m <= 32 else ("Q", 8)
+        unions = memoryview(bytearray(width << complex_.m)).cast(code)
+        # 1 byte per subset: the cone vertex of each covered subset, as its
+        # index + 1, or 0 when none is known
+        witnesses = bytearray(1 << complex_.m)
+        for subset in _subsets(complex_.m):
+            if not _covered_by_missing(subset, unions, table):
+                continue
+            high = 1 << subset.bit_length() >> 1
+            witness = witnesses[subset ^ high]
+            if not witness or table[witness][0] & high:
+                witness = _cone_witness(subset, table)
+            if witness > 0:
+                witnesses[subset] = witness
+                groups = found.get(subset ^ 1 << witness >> 1)
+            elif witness < 0 and not subset & ghosts and subset.bit_count() > 1:
+                groups = [(0, Abelian(subset.bit_count() - 1, ()))]  # |J| points
+            elif not subset:
+                groups = [(-1, Abelian(1, ()))]  # K_0 = {0}: H~^-1 = Z
+            elif face := _isolated_missing_face(subset, table):
+                shift = face.bit_count() - 1  # K_J = the (|f| - 1)-fold suspension of K_{J - f}
+                groups = [(d + shift, group) for d, group in found.get(subset ^ face, ())]
+            else:
+                groups = _subset_cohomology(complex_, subset)
+            if groups:
+                found[subset] = groups
+    return {(subset, d): group for subset, groups in found.items() for d, group in groups}
 
 
 def _refuse_threads(threads: int) -> None:

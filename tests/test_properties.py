@@ -28,12 +28,10 @@ from moment_angle.hochster import (
     _cone_witness,
     _covered_by_missing,
     _isolated_missing_face,
-    _missing_by_top,
-    _missing_through,
     _missing_union,
     _subset_cohomology as subset_cohomology,
     _subsets,
-    _vertex_links,
+    _vertex_table,
 )
 from moment_angle.homology import CohomologyBasis
 from moment_angle.ring import _check_cocycle
@@ -116,14 +114,40 @@ def nonzero_cohomology(complex_):
 
 
 class TestPruning:
+    def test_vertex_table_records_match_their_definitions(self, small_corpus, p28):
+        # each record against K's edges, K's missing faces and lk v built
+        # as a complex of its own; a ghost's link is void, whose one
+        # minimal non-face is the empty set
+        ghosts = larger = 0
+        for complex_ in [*small_corpus, p28, RP2.join(two_points()), GHOST]:
+            table = _vertex_table(complex_)
+            assert len(table) == complex_.m + 1 and table[0] == (0, (), 0, ())
+            for v in range(1, complex_.m + 1):
+                bit = 1 << (v - 1)
+                nbrs, link_missing, ends, faces = table[v]
+                assert nbrs == sum(edge ^ bit for edge in complex_.faces(1) if edge & bit), (complex_, v)
+                through = [f for f in complex_.missing_faces() if f & bit]
+                assert ends == sum(f ^ bit for f in through if f.bit_count() == 2), (complex_, v)
+                assert sorted(faces) == sorted(f for f in through if f.bit_count() != 2), (complex_, v)
+                larger += any(f.bit_count() > 2 for f in faces)
+                if v in complex_.ghost_vertices():
+                    ghosts += 1
+                    assert faces == (bit,) and nbrs == 0 and link_missing == (0,)
+                    continue
+                link_facets = [f ^ bit for f in complex_.facets if f & bit and f != bit]
+                link = SimplicialComplex(complex_.m, link_facets, allow_ghosts=True)
+                expected = [f for f in link.missing_faces() if f & ~nbrs == 0]
+                assert sorted(link_missing) == sorted(expected), (complex_, v)
+        assert ghosts and larger > 20
+
     def test_uncovered_subsets_are_contractible(self, small_corpus):
         # soundness of the missing-face cover shortcut, subset by subset;
         # increasing order also meets J - h before J, as the recurrence needs
         for complex_ in small_corpus[:12]:
-            by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
+            table = _vertex_table(complex_)
             unions = [0] * (1 << complex_.m)
             for subset in range(1 << complex_.m):
-                if not _covered_by_missing(subset, unions, by_top):
+                if not _covered_by_missing(subset, unions, table):
                     cc = ChainComplexZ.of_subset(complex_, subset)
                     assert all(g.is_zero for g in cc.cohomology().values())
 
@@ -132,13 +156,13 @@ class TestPruning:
         # equals a direct scan over all missing faces
         for complex_ in [*small_corpus, p28, truncated_simplex(3, 5), GHOST]:
             missing = complex_.missing_faces()
-            by_top = _missing_by_top(missing, complex_.m)
+            table = _vertex_table(complex_)
             unions = [0] * (1 << complex_.m)
             visited = 0
             for subset in _subsets(complex_.m):
                 visited += 1
                 union = _missing_union(subset, missing)
-                assert _covered_by_missing(subset, unions, by_top) == (union == subset), (complex_, subset)
+                assert _covered_by_missing(subset, unions, table) == (union == subset), (complex_, subset)
                 assert unions[subset] == union, (complex_, subset)
             assert visited == 1 << complex_.m
 
@@ -147,9 +171,9 @@ class TestPruning:
         return [*small_corpus[:12], RP2, p28, truncated_simplex(3, 5), GHOST]
 
     @staticmethod
-    def cone_link(links, subset, v):
+    def cone_link(table, subset, v):
         """Is v's link in K_J a nonempty cone?  The direct test, one vertex."""
-        nbrs, link_missing = links[1 << (v - 1)]
+        nbrs, link_missing, _, _ = table[v]
         return bool(nbrs & subset) and _missing_union(nbrs & subset, link_missing) != nbrs & subset
 
     def test_cone_links_keep_the_groups(self, small_corpus, p28):
@@ -158,11 +182,11 @@ class TestPruning:
         assert GHOST.ghost_vertices() == (6,)
         accepted = 0
         for complex_ in self.cone_link_inputs(small_corpus, p28):
-            links = _vertex_links(complex_)
+            table = _vertex_table(complex_)
             cohomology = nonzero_cohomology(complex_)
             for subset in range(1 << complex_.m):
                 for v in iter_vertices(subset):
-                    if self.cone_link(links, subset, v):
+                    if self.cone_link(table, subset, v):
                         accepted += 1
                         assert cohomology(subset) == cohomology(subset ^ (1 << (v - 1))), (complex_, subset, v)
         assert accepted > 1000
@@ -172,25 +196,24 @@ class TestPruning:
         # highest vertex of J and no neighbour of v, is one of J as well
         inherited = scanned = 0
         for complex_ in self.cone_link_inputs(small_corpus, p28):
-            links = _vertex_links(complex_)
+            table = _vertex_table(complex_)
             cohomology = nonzero_cohomology(complex_)
-            by_top = _missing_by_top(complex_.missing_faces(), complex_.m)
             unions = [0] * (1 << complex_.m)
             witnesses = {}
             for subset in _subsets(complex_.m):
-                if not _covered_by_missing(subset, unions, by_top):
+                if not _covered_by_missing(subset, unions, table):
                     continue
                 high = 1 << subset.bit_length() >> 1
                 witness = witnesses.get(subset ^ high, 0)
-                if witness and not links[1 << (witness - 1)][0] & high:
+                if witness and not table[witness][0] & high:
                     inherited += 1
-                    assert self.cone_link(links, subset, witness), (complex_, subset, witness)
+                    assert self.cone_link(table, subset, witness), (complex_, subset, witness)
                     assert cohomology(subset) == cohomology(subset ^ 1 << (witness - 1))
                 else:
                     scanned += 1
-                    witness = _cone_witness(subset, links)
-                    accepting = [v for v in iter_vertices(subset) if self.cone_link(links, subset, v)]
-                    edged = any(links[1 << (v - 1)][0] & subset for v in iter_vertices(subset))
+                    witness = _cone_witness(subset, table)
+                    accepting = [v for v in iter_vertices(subset) if self.cone_link(table, subset, v)]
+                    edged = any(table[v][0] & subset for v in iter_vertices(subset))
                     assert witness == (accepting[0] if accepting else 0 if edged else -1), (complex_, subset)
                 if witness > 0:
                     witnesses[subset] = witness
@@ -201,10 +224,10 @@ class TestPruning:
         # |J| points, H~^0 = Z^(|J| - 1) and nothing else
         settled = 0
         for complex_ in self.cone_link_inputs(small_corpus, p28):
-            links = _vertex_links(complex_)
+            table = _vertex_table(complex_)
             ghosts = ~complex_.vertex_support()
             for subset in range(1 << complex_.m):
-                if subset.bit_count() < 2 or subset & ghosts or _cone_witness(subset, links) != -1:
+                if subset.bit_count() < 2 or subset & ghosts or _cone_witness(subset, table) != -1:
                     continue
                 assert not any(edge & ~subset == 0 for edge in complex_.faces(1)), (complex_, subset)
                 settled += 1
@@ -217,12 +240,12 @@ class TestPruning:
     def test_ghost_vertices_are_not_points(self):
         # a ghost vertex lies in no face: counted as a point it would add a
         # generator to H~^0, so the sweep gives such a J a chain complex
-        links = _vertex_links(GHOST)
+        table = _vertex_table(GHOST)
         cohomology = nonzero_cohomology(GHOST)
         wrong = [
             subset
             for subset in range(1 << GHOST.m)
-            if subset & 1 << 5 and subset.bit_count() > 1 and _cone_witness(subset, links) == -1
+            if subset & 1 << 5 and subset.bit_count() > 1 and _cone_witness(subset, table) == -1
             and cohomology(subset) != {0: Abelian(subset.bit_count() - 1, ())}
         ]
         assert wrong  # vertex 6 with two or more points, never Z^(|J| - 1)
@@ -266,11 +289,11 @@ class TestPruning:
         ]
         accepted = spheres = torsion = 0
         for complex_ in inputs:
-            through = _missing_through(complex_.missing_faces(), complex_.m)
+            table = _vertex_table(complex_)
             cohomology = nonzero_cohomology(complex_)
             for subset in range(1 << complex_.m):
                 isolated = self.isolated_missing_faces(complex_, subset)
-                taken = _isolated_missing_face(subset, through)
+                taken = _isolated_missing_face(subset, table)
                 assert taken in isolated if isolated else taken == 0, (complex_, subset)
                 for face in isolated:
                     accepted += 1
