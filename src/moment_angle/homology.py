@@ -7,10 +7,11 @@ augmentation C_0 -> C_-1 is part of the boundary data.  Faces are oriented
 by increasing vertex labels and boundary signs come from position parity,
 which pins down every sign used elsewhere in the library.
 
-Group data (ranks and torsion) comes from invariant factors of the boundary
-matrices.  Explicit cocycle representatives, needed for cup products, come
-from two Smith normal forms per degree in :class:`CohomologyBasis`, each
-tracking only the side of transforms it is read for.
+Group data (ranks and torsion) comes from the invariant factors of what a
+reduction pass across all degrees leaves of the boundary matrices.  Explicit
+cocycle representatives, needed for cup products, come from two Smith normal
+forms per degree in :class:`CohomologyBasis`, each tracking only the side of
+transforms it is read for.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
 from .errors import NotACocycle, NotPure
-from .snf import _diag_snf, identity, invariant_factors_sparse, matmul, smith_normal_form
+from .snf import _diag_snf, invariant_factors_sparse, matmul, smith_normal_form
 
 
 class Abelian(NamedTuple):
@@ -81,11 +82,15 @@ class ChainComplexZ:
     encoded monomials for the Koszul pieces and Taylor strata of
     :mod:`.resolutions`.  A subcomplex may reuse its parent's table.
 
-    Invariant factors are read straight from ``columns``, by one reduction
-    pass across all degrees (:meth:`boundary_factor_table`).  It pairs
-    coreductions (an element with a single +-1 boundary entry) and, once
-    those stall, free faces (an element with a single coface, on a +-1
-    entry), and eliminates only what neither move reaches.
+    :meth:`homology`, :meth:`cohomology` and :meth:`summand_homology` read
+    their groups one way.  One reduction pass across all degrees
+    (:meth:`_reduction_pass`) pairs coreductions (an element with a single
+    +-1 boundary entry) and, once those stall, free faces (an element with
+    a single coface, on a +-1 entry); the survivors' columns, restricted to
+    one another, are eliminated degree by degree (:func:`_leftover_factors`);
+    and :func:`_groups` turns those factors into groups.  A removed pair
+    takes one element from each of two adjacent degrees and one unit factor
+    from the map between them, so the survivors have the complex's groups.
     ``simplicial`` is set by :meth:`of_complex` and :meth:`of_subset` only:
     the pass's critical-vertex step relies on every edge column being v - u.
     ``boundary_entries`` and :meth:`coboundary_matrix` give one map in local
@@ -100,7 +105,7 @@ class ChainComplexZ:
         self.bottom = min(self.faces) if self.faces else 0
         self.top = max(self.faces) if self.faces else -1
         self.degrees = range(self.bottom, self.top + 1)
-        self._factors = None
+        self._left = None
 
     @classmethod
     def _simplicial(cls, faces_by_dim: dict, table: dict) -> "ChainComplexZ":
@@ -149,36 +154,6 @@ class ChainComplexZ:
                 row[index[sub]] = sign
             mat.append(row)
         return mat
-
-    def boundary_factor_table(self) -> dict:
-        """Invariant factors of every boundary map, degree bottom .. top + 1."""
-        if self._factors is None:
-            self._factors = self._coreduced_factors()
-        return self._factors
-
-    def _coreduced_factors(self) -> dict:
-        """One reduction pass over all degrees, then elimination of the rest.
-
-        The pass (:meth:`_reduction_pass`) pairs off elements; each pair
-        adds one unit factor to the map out of its upper element's degree.
-        The leftover elements keep their restricted columns and are reduced
-        degree by degree with :func:`invariant_factors_sparse`.
-        """
-        table = {d: [] for d in range(self.bottom, self.top + 2)}
-        faces, columns = self.faces, self.columns
-        alive, critical = self._reduction_pass()
-        # A pair takes its upper element from degree d and its lower one
-        # from d - 1; count the pairs into each degree from the top down.
-        pairs_above = 0
-        for d in range(self.top, self.bottom - 1, -1):
-            fs = faces.get(d, ())
-            left = [f for f in fs if f in alive]
-            pairs = len(fs) - len(left) - pairs_above - (critical if d == 0 else 0)
-            pairs_above = pairs
-            table[d] = [1] * pairs
-            if left:
-                table[d] += _leftover_factors(left, columns, alive)
-        return table
 
     def _reduction_pass(self) -> tuple:
         """``(alive, critical)`` after pairing off all it can, across degrees.
@@ -291,13 +266,27 @@ class ChainComplexZ:
                                 free.append(h)
         return alive, critical
 
+    def _survivors(self) -> tuple:
+        """``(survivors, factors, critical)`` from one reduction pass, cached.
+
+        ``survivors`` lists, per degree, the elements :meth:`_reduction_pass`
+        leaves, ``factors`` the invariant factors of their restricted
+        columns (:func:`_leftover_factors`), and ``critical`` the vertices
+        it dropped as free generators of H~_0.
+        """
+        if self._left is None:
+            alive, critical = self._reduction_pass()
+            survivors = {d: [f for f in fs if f in alive] for d, fs in self.faces.items()}
+            self._left = (survivors, _leftover_factors(survivors, self.columns, alive), critical)
+        return self._left
+
     def homology(self) -> dict:
         """Homology groups; torsion comes from the map into the degree."""
-        return _groups(self.faces, self.boundary_factor_table(), self.degrees, 1)
+        return _groups(*self._survivors(), self.degrees, 1)
 
     def cohomology(self) -> dict:
         """Cohomology groups; torsion comes from the map one degree lower."""
-        return _groups(self.faces, self.boundary_factor_table(), self.degrees, 0)
+        return _groups(*self._survivors(), self.degrees, 0)
 
     def summand_homology(self, summand_of) -> dict:
         """Homology of each direct summand, from one reduction pass over the sum.
@@ -307,10 +296,9 @@ class ChainComplexZ:
         be simplicial, whose pass also drops vertices.  Both moves of the
         pass pair two elements of one summand and change nothing elsewhere,
         so each summand is left as its own pass would leave it, and its
-        survivors' restricted columns give its groups, as the leftover step
-        of :meth:`_coreduced_factors` reads them.  Returns ``{key: {d:
-        group}}`` with nonzero groups only, so summands with zero homology
-        are absent.
+        survivors give its groups, read as :meth:`homology` reads a whole
+        complex's.  Returns ``{key: {d: group}}`` with nonzero groups only,
+        so summands with zero homology are absent.
         """
         alive, _ = self._reduction_pass()
         survivors: dict = {}  # key -> d -> survivors
@@ -319,38 +307,46 @@ class ChainComplexZ:
                 if f in alive:
                     survivors.setdefault(summand_of(f), {}).setdefault(d, []).append(f)
         out = {}
-        for key, faces in survivors.items():
-            factors = {d: _leftover_factors(fs, self.columns, alive) for d, fs in faces.items()}
-            groups = _groups(faces, factors, sorted(faces), 1)
+        for key, left in survivors.items():
+            groups = _groups(left, _leftover_factors(left, self.columns, alive), 0, sorted(left), 1)
             groups = {d: group for d, group in groups.items() if not group.is_zero}
             if groups:
                 out[key] = groups
         return out
 
 
-def _leftover_factors(left, columns: dict, alive) -> list:
-    """Invariant factors of the columns of ``left``, restricted to ``alive``."""
-    rows = {}
-    for f in left:
-        row = {g: c for g, c in columns[f].items() if g in alive}
-        if row:
-            rows[f] = row
-    return invariant_factors_sparse(rows) if rows else []
+def _leftover_factors(survivors: dict, columns: dict, alive) -> dict:
+    """Invariant factors of each degree's survivors, columns restricted to ``alive``.
+
+    Degrees whose restricted columns are all zero are absent.
+    """
+    factors = {}
+    for d, left in survivors.items():
+        rows = {}
+        for f in left:
+            row = {g: c for g, c in columns[f].items() if g in alive}
+            if row:
+                rows[f] = row
+        if rows:
+            factors[d] = invariant_factors_sparse(rows)
+    return factors
 
 
-def _groups(faces: dict, factors: dict, degrees, torsion_shift: int) -> dict:
+def _groups(survivors: dict, factors: dict, critical: int, degrees, torsion_shift: int) -> dict:
     """One group per degree in ``degrees``, zero groups included.
 
-    ``factors[d]`` lists the invariant factors of the map out of C_d; the
-    degree above the last may be missing, a map with no factors.  The free
-    rank at d is the size of C_d minus the ranks of the maps out of and into
-    it; the torsion is the non-unit factors of the map into
-    C_{d - 1 + torsion_shift}.  Factor lists ascend, so a map has torsion
-    exactly when its last factor exceeds 1.
+    ``survivors`` and ``factors`` are as :meth:`ChainComplexZ._survivors`
+    gives them, and absent degrees read as empty.  The free rank at d is the
+    number of survivors minus the ranks of the maps out of and into C_d,
+    plus the ``critical`` vertices at d = 0; the torsion is the non-unit
+    factors of the map into C_{d - 1 + torsion_shift}.  Factor lists ascend,
+    so a map has torsion exactly when its last factor exceeds 1.
     """
     out = {}
     for d in degrees:
-        free = len(faces.get(d, ())) - len(factors[d]) - len(factors.get(d + 1, ()))
+        free = len(survivors.get(d, ())) - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
+        if d == 0:
+            free += critical
         shifted = factors.get(d + torsion_shift, ())
         if shifted and shifted[-1] > 1:
             out[d] = Abelian(free, tuple([t for t in shifted if t > 1]))
@@ -406,25 +402,17 @@ class _DegreeBasis:
         n, n_up, n_down = cc.n_faces(d), cc.n_faces(d + 1), cc.n_faces(d - 1)
         self.n = n
         self.delta_out = tuple(map(tuple, cc.coboundary_matrix(d)))
-        if n_up and n:
-            out_snf = smith_normal_form(self.delta_out, rows=n_up, cols=n, track="v")
-            rank_out = out_snf.rank
-            v_t, v_inv = out_snf.v_t, out_snf.v_inv
-        else:
-            rank_out = 0
-            v_t = v_inv = identity(n)
+        out_snf = smith_normal_form(self.delta_out, rows=n_up, cols=n, track="v")
+        rank_out = out_snf.rank
+        v_t, v_inv = out_snf.v_t, out_snf.v_inv
         k = n - rank_out
         kernel_rows = v_inv[rank_out:]
         # coboundary images of (d-1)-cochains, written in kernel coordinates
         coords = matmul(kernel_rows, cc.coboundary_matrix(d - 1))
-        if k and n_down:
-            quo = smith_normal_form(coords, rows=k, cols=n_down, track="u")
-            diag = [quo.d[i][i] for i in range(min(k, n_down))]
-            u_c, u_c_inv_t = quo.u, quo.u_inv_t
-        else:
-            diag = []
-            u_c = u_c_inv_t = identity(k)
-        diag = list(diag) + [0] * (k - len(diag))
+        quo = smith_normal_form(coords, rows=k, cols=n_down, track="u")
+        diag = [quo.d[i][i] for i in range(min(k, n_down))]
+        u_c, u_c_inv_t = quo.u, quo.u_inv_t
+        diag += [0] * (k - len(diag))
         free_indices = [i for i, s in enumerate(diag) if s == 0]
         torsion_orders = [(i, s) for i, s in enumerate(diag) if s > 1]
         self.group = Abelian(len(free_indices), tuple(s for _, s in torsion_orders))
