@@ -5,18 +5,23 @@ the juxtaposition product (Baskakov 2002): zero unless I and J are disjoint,
 otherwise (phi . psi)(sigma | tau) = phi(sigma) psi(tau) times the sign of
 the shuffle sorting sigma | tau, for faces sigma | tau of K with sigma in I
 and tau in J.  :func:`star_product` reads it off the pairs of supported
-faces, at a cost of the product of the two support sizes.  It is associative
-on the nose, and it commutes as h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced
-degrees d1, d2, which is the rule the stored products obey.  That is NOT
-graded commutativity in the moment-angle total degrees |J| + d + 1, and no
-per-class sign can make it so: changing the sign of a class changes g.h and
-h.g alike, so the commutation sign of two blocks does not depend on the
-basis.  The structure constants therefore differ from the cup product of the
-moment-angle complex by a sign on some pairs of blocks.  If that sign
-depends only on the two blocks, every t-fold product is off by a sign at
-most, so ranks of product spans over Q, the unimodularity of the pairing and
-the existence of top products do not see it; the golden assertions
-downstream are stated as those.
+faces, at a cost of the product of the two support sizes.
+:func:`ring_presentation` multiplies the representatives of each pair of
+blocks as supports read off the two block bases, through the same join and
+the same coboundary check, and writes each product in the target block's
+basis; a generator's :class:`HochsterClass` is built from its block only
+when it is read.  The product is associative on the nose, and it commutes as
+h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees d1, d2, which is the
+rule the stored products obey.  That is NOT graded commutativity in the
+moment-angle total degrees |J| + d + 1, and no per-class sign can make it
+so: changing the sign of a class changes g.h and h.g alike, so the
+commutation sign of two blocks does not depend on the basis.  The structure
+constants therefore differ from the cup product of the moment-angle complex
+by a sign on some pairs of blocks.  If that sign depends only on the two
+blocks, every t-fold product is off by a sign at most, so ranks of product
+spans over Q, the unimodularity of the pairing and the existence of top
+products do not see it; the golden assertions downstream are stated as
+those.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .bitsets import is_subset, iter_vertices, lex_key, mask_of, shuffle_sign, vertices_of
+from .bitsets import is_subset, lex_key, mask_of, shuffle_sign, vertices_of
 from .complexes import SimplicialComplex
 from .errors import (
     BasisMismatch,
@@ -101,23 +106,69 @@ class HochsterClass:
         )
 
 
-def _check_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
-    """Raise :class:`NotACocycle` unless the coboundary of ``cls`` on K_J vanishes.
+def _coboundary_check(subset: int, cochain: dict, columns: dict) -> None:
+    """Raise :class:`NotACocycle` unless the coboundary of ``cochain`` on K_J vanishes.
 
-    Only the cofaces ``face | v`` of supported faces, v in J, can carry it.
+    ``columns`` is the complex's boundary table.  Only the cofaces
+    ``face | v`` of supported faces, v in J, can carry the coboundary.
     """
-    columns = complex_.boundary_table()
     coboundary = {}
-    for face, coeff in cls.cochain.items():
-        for v in iter_vertices(cls.subset & ~face):
-            coface = face | 1 << (v - 1)
-            if coface in columns:
-                coboundary[coface] = coboundary.get(coface, 0) + columns[coface][face] * coeff
+    for face, coeff in cochain.items():
+        rest = subset & ~face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            coface = face | low
+            column = columns.get(coface)
+            if column is not None:
+                coboundary[coface] = coboundary.get(coface, 0) + column[face] * coeff
     for coface, total in coboundary.items():
         if total:
             raise NotACocycle(
                 f"juxtaposition product has coboundary {total} on {vertices_of(coface)}"
             )
+
+
+def _check_cocycle(cls: HochsterClass, complex_: SimplicialComplex) -> None:
+    """Raise :class:`NotACocycle` unless the coboundary of ``cls`` on K_J vanishes."""
+    _coboundary_check(cls.subset, cls.cochain, complex_.boundary_table())
+
+
+def _join(left_items, right_items, faces) -> dict:
+    """The juxtaposition cochain of two supports over disjoint vertex sets.
+
+    ``left_items`` and ``right_items`` are ``(face, coefficient)`` pairs with
+    nonzero coefficients; each join ``sigma | tau`` in ``faces`` gets
+    c1(sigma) c2(tau) times the shuffle sign, so no coefficient is zero.
+    """
+    cochain = {}
+    for left, a in left_items:
+        for right, b in right_items:
+            face = left | right
+            if face in faces:
+                cochain[face] = a * b * shuffle_sign(left, right)
+    return cochain
+
+
+def _positions(cochain: dict, index: dict) -> list:
+    """``(position, coefficient)`` entries of a cochain over one degree of a block's faces."""
+    try:
+        return [(index[f], c) for f, c in cochain.items()]
+    except KeyError:
+        extra = [f for f in cochain if f not in index]
+        raise DegreeMismatch(
+            f"cochain supported outside the subcomplex: {sorted(map(vertices_of, extra))}"
+        ) from None
+
+
+def _terms(free: tuple, gids, subset: int, degree: int) -> list:
+    """``(generator id, coefficient)`` of free coordinates over a block's ids."""
+    if len(free) != len(gids):
+        raise BasisMismatch(
+            f"{len(free)} coordinates for {len(gids)} generators of block "
+            f"({vertices_of(subset)}, {degree})"
+        )
+    return [(gid, coeff) for gid, coeff in zip(gids, free) if coeff]
 
 
 def star_product(
@@ -133,25 +184,29 @@ def star_product(
     degree = c1.degree + c2.degree + 1
     if c1.subset & c2.subset:
         return HochsterClass(union, degree, {})
-    faces = complex_.face_set()
-    cochain = {}
-    for left, a in c1.cochain.items():
-        for right, b in c2.cochain.items():
-            face = left | right
-            if face in faces:
-                cochain[face] = a * b * shuffle_sign(left, right)
+    cochain = _join(c1.cochain.items(), c2.cochain.items(), complex_.face_set())
     result = HochsterClass(union, degree, cochain)
     _check_cocycle(result, complex_)
     return result
 
 
-@dataclass
+@dataclass(slots=True)
 class RingGenerator:
+    """One free basis class of a block; its cochain is read from the block on demand."""
+
     gid: int
     subset: int
     degree: int  # reduced cochain degree
     index: int  # position within the (subset, degree) basis
-    cls: HochsterClass
+    _context: _BlockContext = field(repr=False, compare=False)
+    _cls: HochsterClass | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def cls(self) -> HochsterClass:
+        """The representative cocycle, built once from the block's basis."""
+        if self._cls is None:
+            self._cls = self._context.class_of(self.degree, self.index)
+        return self._cls
 
     @property
     def total_degree(self) -> int:
@@ -167,9 +222,8 @@ class _BlockContext:
     ``basis`` is the one its presentation keeps for the block's shape (see
     :class:`RingPresentation`).  Only the first block of a shape builds a
     chain complex, the one that basis is computed on; every block lists
-    its own faces, and their positions, only in the degrees that
-    :meth:`classes` and :meth:`express` ask for, and reads ``basis``
-    through those positions.
+    its own faces, and their positions, only in the degrees that its
+    methods ask for, and reads ``basis`` through those positions.
     """
 
     def __init__(self, complex_: SimplicialComplex, subset: int, bases: dict):
@@ -201,17 +255,27 @@ class _BlockContext:
 
     def express(self, cls: HochsterClass) -> Expression:
         index = self.index(cls.degree)
-        extra = [f for f in cls.cochain if f not in index]
-        if extra:
-            raise DegreeMismatch(
-                f"cochain supported outside the subcomplex: {sorted(map(vertices_of, extra))}"
-            )
+        support = _positions(cls.cochain, index)
         if not index:  # no faces in this degree, so no coordinates either
             return Expression((), ())
-        support = [(index[f], c) for f, c in cls.cochain.items()]
         return self.basis.degree(cls.degree).express(support)
 
+    def supports(self, degree: int) -> list:
+        """Each representative's nonzero ``(face, coefficient)`` pairs, in basis order."""
+        faces = self.faces(degree)
+        return [
+            [(f, c) for f, c in zip(faces, rep) if c]
+            for rep in self.basis.degree(degree).representatives
+        ]
+
+    def class_of(self, degree: int, index: int) -> HochsterClass:
+        """The class of one representative, validated by :class:`HochsterClass`."""
+        rep = self.basis.degree(degree).representatives[index]
+        cochain = {f: c for f, c in zip(self.faces(degree), rep) if c}
+        return HochsterClass(self.subset, degree, cochain)
+
     def classes(self, degree: int) -> list:
+        """Every representative's class at once, the reference for :meth:`class_of`."""
         faces = self.faces(degree)
         out = []
         for rep in self.basis.representatives(degree):
@@ -234,6 +298,13 @@ class RingPresentation:
     second by the reduced-degree commutation sign of the module docstring.
     Read products through ``product()``, which gives ``()`` for every other
     pair.  Torsion blocks are excluded with a warning.
+
+    The products are taken from the block bases, not from generator
+    classes: for each pair of blocks the loop joins the supports of their
+    representatives, checks each product's coboundary on K_{I | J} and its
+    faces against the target block's, and expresses it in the target's
+    basis.  A generator holds only its address and its block; ``cls``
+    builds its cochain on first read and keeps it.
 
     Blocks whose full subcomplexes have the same shape
     (:meth:`.SimplicialComplex.subset_shape`) share one
@@ -294,14 +365,7 @@ class RingPresentation:
         """Coefficients of a class over the generators of its block."""
         expr = self.context(cls.subset).express(cls)
         block = self.block_generators(cls.subset, cls.degree)
-        if len(expr.free) != len(block):
-            raise BasisMismatch(
-                f"{len(expr.free)} coordinates for {len(block)} generators of block "
-                f"({vertices_of(cls.subset)}, {cls.degree})"
-            )
-        return [
-            (g.gid, coeff) for g, coeff in zip(block, expr.free) if coeff
-        ]
+        return _terms(expr.free, [g.gid for g in block], cls.subset, cls.degree)
 
     def product(self, gid1: int, gid2: int) -> tuple:
         """Terms of the product of two generators; ``()`` when it is zero."""
@@ -311,8 +375,13 @@ class RingPresentation:
         return self.products.get((gid1, gid2), ())
 
     def product_class(self, gids) -> HochsterClass:
-        """Fold the juxtaposition product over a sequence of generators."""
+        """Fold the juxtaposition product over a nonempty sequence of generators."""
         gids = list(gids)
+        if not gids:
+            raise ParameterOutOfRange("product_class needs at least one generator")
+        for gid in gids:
+            if not 0 <= gid < len(self.generators):
+                raise KeyError(gid)
         cls = self.generators[gids[0]].cls
         for gid in gids[1:]:
             cls = star_product(cls, self.generators[gid].cls, self.complex)
@@ -359,11 +428,10 @@ def ring_presentation(
     keys.sort(key=lambda key: (key[0].bit_count() + key[1] + 1, lex_key(key[0]), key[1]))
     generators = presentation.generators
     for subset, d in keys:
+        context = presentation.context(subset)
         start = len(generators)
-        for index, cls in enumerate(presentation.context(subset).classes(d)):
-            generators.append(
-                RingGenerator(gid=len(generators), subset=subset, degree=d, index=index, cls=cls)
-            )
+        count = len(context.basis.degree(d).representatives)
+        generators.extend(RingGenerator(start + i, subset, d, i, context) for i in range(count))
         presentation._blocks[(subset, d)] = range(start, len(generators))
     full = (1 << complex_.m) - 1
     top = presentation._blocks.get((full, complex_.dim()))
@@ -386,9 +454,24 @@ def ring_presentation(
     # A product sits at least one degree above twice the lowest block degree.
     low = min((d for _, d in blocks), default=0)
     products = presentation.products
+    faces = complex_.face_set()
+    columns = complex_.boundary_table()
+    # The loop multiplies representatives as supports read off each block's
+    # basis, the same cochains ``RingGenerator.cls`` builds, through the
+    # join and coboundary check of ``star_product``.  They are kept only
+    # while the loop runs.
+    supports = {}  # (subset, degree) -> each generator's supported faces
+
+    def supported(subset, degree):
+        out = supports.get((subset, degree))
+        if out is None:
+            out = supports[(subset, degree)] = presentation.context(subset).supports(degree)
+        return out
+
     for target, target_degrees in by_subset.items():
         if max(target_degrees) <= 2 * low:
             continue
+        context = presentation.context(target)
         lowest = target & -target
         rest = target ^ lowest
         part = rest  # s1 = part | lowest for every proper submask part of rest
@@ -405,20 +488,25 @@ def ring_presentation(
                     gids2 = right.get(d2)
                     if gids2 is None:
                         continue
+                    index, basis, gids = context.index(d), context.basis.degree(d), target_degrees[d]
                     # h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees
                     # (TestStarProductLaws pins it on cochains)
                     flip = d1 % 2 == 0 and d2 % 2 == 0
-                    for g in generators[gids1.start : gids1.stop]:
-                        for h in generators[gids2.start : gids2.stop]:
-                            prod = star_product(g.cls, h.cls, complex_)
-                            if prod.is_zero:
+                    rights = list(zip(gids2, supported(target ^ s1, d2)))
+                    for g, left_items in zip(gids1, supported(s1, d1)):
+                        for h, right_items in rights:
+                            cochain = _join(left_items, right_items, faces)
+                            if not cochain:
                                 continue
-                            terms = tuple(presentation.express_class(prod))
+                            _coboundary_check(target, cochain, columns)
+                            free = basis.express(_positions(cochain, index)).free
+                            terms = tuple(_terms(free, gids, target, d))
                             if terms:
-                                products[(g.gid, h.gid)] = terms
-                                products[(h.gid, g.gid)] = (
+                                products[(g, h)] = terms
+                                products[(h, g)] = (
                                     tuple((gid, -c) for gid, c in terms) if flip else terms
                                 )
+    supports.clear()
     presentation.products = dict(sorted(products.items()))
     return presentation
 

@@ -86,6 +86,24 @@ MUTANTS = [
         "            out[d] = kept\n        top = out[max(out)]\n        if len(top) > 1:\n            top[0] = top[1]\n        return out\n",
         ["tests/test_oracles.py::test_every_group_matches_sympy"],
     ),
+    (
+        "moment_angle/ring.py",
+        "                            _coboundary_check(target, cochain, columns)\n",
+        "",
+        ["tests/test_checks.py::test_corrupted_representative_is_refused_in_the_pair_loop"],
+    ),
+    (
+        "moment_angle/ring.py",
+        "cochain[face] = a * b * shuffle_sign(left, right)",
+        "cochain[face] = a * b",
+        ["tests/test_ring.py::TestSupportProducts"],
+    ),
+    (
+        "moment_angle/ring.py",
+        "flip = d1 % 2 == 0 and d2 % 2 == 0",
+        "flip = not (d1 % 2 == 0 and d2 % 2 == 0)",
+        ["tests/test_ring.py::TestBlockProducts::test_skipped_pairs_are_zero"],
+    ),
 ]
 
 

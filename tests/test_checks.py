@@ -12,8 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from moment_angle import HochsterClass, boundary_simplex, mask_of, polygon, ring_presentation
-from moment_angle import resolutions
+from moment_angle import (
+    HochsterClass,
+    boundary_simplex,
+    construct_p28_8,
+    mask_of,
+    polygon,
+    ring_presentation,
+)
+from moment_angle import homology, resolutions
 from moment_angle.errors import BasisMismatch, NotAChainComplex, NotACocycle
 from moment_angle.ring import _check_cocycle
 
@@ -60,6 +67,26 @@ def test_class_on_a_block_with_missing_generators_is_refused():
         presentation.express_class(generator.cls)
 
 
+def test_corrupted_representative_is_refused_in_the_pair_loop(monkeypatch):
+    # one more on the first edge of alpha_0, the class of p28 over {1, 2, 3, 4},
+    # leaves a cochain whose product with another block has a coboundary
+    built = homology._DegreeBasis.__init__
+    vertices = [mask_of((v,)) for v in (1, 2, 3, 4)]
+
+    def corrupting(self, cc, d):
+        built(self, cc, d)
+        if d == 1 and cc.faces[0] == vertices:
+            first = list(self.representatives[0])
+            first[0] += 1
+            self.representatives = (tuple(first), *self.representatives[1:])
+
+    monkeypatch.setattr(homology._DegreeBasis, "__init__", corrupting)
+    with pytest.raises(NotACocycle, match="juxtaposition product has coboundary") as refused:
+        ring_presentation(construct_p28_8())
+    # raised by the loop's own check, before the product reaches the basis
+    assert [entry.name for entry in refused.traceback[-2:]] == ["ring_presentation", "_coboundary_check"]
+
+
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this run is the python -O run")
 def test_checks_fire_under_python_O():
     root = Path(__file__).resolve().parents[1]
@@ -75,4 +102,4 @@ def test_checks_fire_under_python_O():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     # the skip of this very test shows the run really was optimised
-    assert "5 passed, 1 skipped" in result.stdout, result.stdout
+    assert "6 passed, 1 skipped" in result.stdout, result.stdout

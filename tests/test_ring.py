@@ -501,9 +501,14 @@ def reference_products(presentation):
 ORACLE_INPUTS = [
     pytest.param(construct_p28_8(), id="p28"),
     pytest.param(RP2, id="rp2", marks=pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")),
-    *(pytest.param(polygon(m), id=f"polygon{m}") for m in range(5, 9)),
+    *(pytest.param(polygon(m), id=f"polygon{m}") for m in range(5, 10)),
     pytest.param(truncated_simplex(3, 6), id="truncated_simplex(3,6)"),
     *(pytest.param(c, id=f"random{i}") for i, c in enumerate(random_complexes(20, seed=11))),
+    # the small_corpus fixture's complexes
+    *(
+        pytest.param(c, id=f"corpus{i}", marks=pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning"))
+        for i, c in enumerate(random_complexes(100)[:30])
+    ),
 ]
 
 
@@ -542,17 +547,32 @@ class TestTargetWalk:
     @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
     @pytest.mark.parametrize("complex_", PAIR_SET_INPUTS)
     def test_walk_multiplies_the_pairs_of_the_all_pairs_scan(self, complex_, monkeypatch):
-        factors = []
+        # the loop joins the supports each block lists for its generators;
+        # label every list as it is made, and record the pairs joined
+        labels = {}  # id of a support list -> (subset, degree, index)
+        joined = []
+        supports, join = ring._BlockContext.supports, ring._join
 
-        def recording(c1, c2, complex_):
-            factors.append((c1, c2))
-            return star_product(c1, c2, complex_)
+        def labelling(self, degree):
+            out = supports(self, degree)
+            for index, items in enumerate(out):
+                labels[id(items)] = (self.subset, degree, index)
+            return out
 
-        monkeypatch.setattr(ring, "star_product", recording)
+        def recording(left_items, right_items, faces):
+            joined.append((left_items, right_items))
+            return join(left_items, right_items, faces)
+
+        monkeypatch.setattr(ring._BlockContext, "supports", labelling)
+        monkeypatch.setattr(ring, "_join", recording)
         presentation = ring_presentation(complex_)
         generators = presentation.generators
-        gid_of = {id(g.cls): g.gid for g in generators}
-        walked = [(gid_of[id(c1)], gid_of[id(c2)]) for c1, c2 in factors]
+        walked = []
+        for pair in joined:
+            g, h = (presentation.find(*labels[id(items)]) for items in pair)
+            # the supports are the cochains of the generators' classes
+            assert [dict(items) for items in pair] == [g.cls.cochain, h.cls.cochain]
+            walked.append((g.gid, h.gid))
         # each pair in exactly one of its two orders
         assert sorted(walked + [(h, g) for g, h in walked]) == all_block_pairs(presentation)
         # the walked left factor holds the target's lowest vertex
@@ -604,6 +624,37 @@ class TestBlockProducts:
         presentation = ring_presentation(polygon(4))
         with pytest.raises(KeyError):
             presentation.product(0, len(presentation.generators))
+
+    def test_product_class_refuses_unknown_and_missing_generators(self):
+        presentation = ring_presentation(polygon(4))
+        n = len(presentation.generators)
+        for gids in ([-1], [n], [0, n], [0, -1]):
+            with pytest.raises(KeyError):
+                presentation.product_class(gids)
+        with pytest.raises(ParameterOutOfRange, match="at least one generator"):
+            presentation.product_class([])
+        assert presentation.product_class([n - 1]) == presentation.generators[n - 1].cls
+
+
+class TestGeneratorClasses:
+    """A generator's class is built from its block when read, then kept."""
+
+    def test_no_class_is_built_until_read(self, p28):
+        presentation = ring_presentation(p28)
+        assert all(g._cls is None for g in presentation.generators)
+        g = presentation.generators[0]
+        assert g.cls is g.cls
+        assert [h._cls is not None for h in presentation.generators].count(True) == 1
+
+    @pytest.mark.parametrize("complex_", [construct_p28_8(), polygon(9)], ids=["p28", "polygon9"])
+    def test_class_is_the_blocks_representative(self, complex_):
+        presentation = ring_presentation(complex_)
+        for g in presentation.generators:
+            cls = g.cls
+            assert isinstance(cls, HochsterClass)
+            assert cls == presentation.context(g.subset).classes(g.degree)[g.index]
+            assert (cls.subset, cls.degree) == (g.subset, g.degree)
+            assert presentation.express_class(cls) == [(g.gid, 1)]
 
 
 SHARED_INPUTS = [
