@@ -27,6 +27,7 @@ from .bitsets import is_subset, vertices_of
 from .complexes import SimplicialComplex
 from .errors import (
     GrammarError,
+    ParameterOutOfRange,
     SphereDimBelow3,
     TorsionPresent,
     UnequalTotalDimension,
@@ -231,7 +232,7 @@ def induced_cycles(complex_: SimplicialComplex, min_len: int, max_len: int) -> l
     smallest vertex, second entry smaller than the last.
     """
     if min_len < 4:
-        raise ValueError("polygon subcomplexes need length >= 4")
+        raise ParameterOutOfRange(f"polygon subcomplexes need length >= 4, got {min_len}")
     m = complex_.m
     adjacency = [0] * (m + 1)
     for edge in complex_.faces_by_dim().get(1, []):

@@ -12,25 +12,20 @@ from __future__ import annotations
 import random
 
 from .bitsets import mask_of
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _relabeled
 
 DEFAULT_SEED = 20240816
 MAX_VERTICES = 7  # vertices of a sample before relabelling to its support
 MAX_FACES = 220  # faces of a kept sample, the empty face included
 
 
-def _restrict_to_support(m: int, facets: list) -> SimplicialComplex | None:
+def _restrict_to_support(facets: list) -> SimplicialComplex | None:
     support = 0
     for f in facets:
         support |= f
     if not support:
         return None
-    verts = [v for v in range(1, m + 1) if support >> (v - 1) & 1]
-    position = {v: i + 1 for i, v in enumerate(verts)}
-    relabeled = []
-    for f in facets:
-        relabeled.append(mask_of(position[v] for v in range(1, m + 1) if f >> (v - 1) & 1))
-    return SimplicialComplex(len(verts), relabeled)
+    return SimplicialComplex(support.bit_count(), [_relabeled(f, support) for f in facets])
 
 
 def random_complex(rng: random.Random) -> SimplicialComplex | None:
@@ -40,7 +35,7 @@ def random_complex(rng: random.Random) -> SimplicialComplex | None:
     for _ in range(n_facets):
         size = rng.randint(1, min(m, 4))
         facets.append(mask_of(rng.sample(range(1, m + 1), size)))
-    return _restrict_to_support(m, facets)
+    return _restrict_to_support(facets)
 
 
 def random_complexes(

@@ -455,7 +455,11 @@ class CohomologyBasis:
     Representatives generate the free part of reduced cohomology; they are
     normalized so the first nonzero coordinate (in face order) is positive,
     making golden tests deterministic.  ``express`` writes any cocycle in
-    the chosen basis, with torsion residues reported separately.
+    the chosen basis, with torsion residues reported separately.  Every
+    degree is answered by its :class:`_DegreeBasis`, one with no faces
+    too: the zero group, no representatives, and only the empty cochain as
+    a cocycle.  :func:`reduced_cohomology_basis` builds one for a whole
+    complex.
 
     Cochains and representatives are read by local face index, not by face,
     so the basis also serves any complex whose faces, listed degree by
@@ -469,10 +473,6 @@ class CohomologyBasis:
         self.cc = cc
         self._degrees: dict[int, _DegreeBasis] = {}
 
-    @classmethod
-    def of_complex(cls, complex_: SimplicialComplex) -> "CohomologyBasis":
-        return cls(ChainComplexZ.of_complex(complex_))
-
     def degree(self, d: int) -> _DegreeBasis:
         basis = self._degrees.get(d)
         if basis is None:
@@ -481,13 +481,9 @@ class CohomologyBasis:
         return basis
 
     def group(self, d: int) -> Abelian:
-        if d < -1 or d > self.cc.top:
-            return ZERO_GROUP
         return self.degree(d).group
 
     def representatives(self, d: int) -> list:
-        if d < -1 or d > self.cc.top:
-            return []
         return [list(r) for r in self.degree(d).representatives]
 
     def faces(self, d: int) -> list:
@@ -495,10 +491,6 @@ class CohomologyBasis:
 
     def express(self, vec: list, d: int) -> Expression:
         """Coordinates of the cocycle ``vec``, dense over the degree-d faces."""
-        if d < -1 or d > self.cc.top:
-            if any(vec):
-                raise NotACocycle(f"no faces in degree {d}")
-            return Expression((), ())
         basis = self.degree(d)
         if len(vec) != basis.n:
             raise NotACocycle(f"cochain has length {len(vec)}, expected {basis.n}")
@@ -506,7 +498,7 @@ class CohomologyBasis:
 
 
 def reduced_cohomology_basis(complex_: SimplicialComplex) -> CohomologyBasis:
-    return CohomologyBasis.of_complex(complex_)
+    return CohomologyBasis(ChainComplexZ.of_complex(complex_))
 
 
 @dataclass

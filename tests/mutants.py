@@ -104,6 +104,18 @@ MUTANTS = [
         "flip = not (d1 % 2 == 0 and d2 % 2 == 0)",
         ["tests/test_ring.py::TestBlockProducts::test_skipped_pairs_are_zero"],
     ),
+    (
+        "moment_angle/homology.py",
+        '        if len(vec) != basis.n:\n            raise NotACocycle(f"cochain has length {len(vec)}, expected {basis.n}")\n',
+        "",
+        ["tests/test_homology.py::TestCohomologyBasis::test_degrees_without_faces"],
+    ),
+    (
+        "moment_angle/ring.py",
+        "support = _positions(cls.cochain, context.index(cls.degree))",
+        "support = _positions(cls.cochain, context.index(cls.degree - 1))",
+        ["tests/test_ring.py::TestGeneratorClasses"],
+    ),
 ]
 
 

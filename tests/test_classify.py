@@ -25,6 +25,7 @@ from moment_angle.classify import model_degree_contributions, model_product_rank
 from moment_angle.errors import (
     GrammarError,
     NotASphereCandidate,
+    ParameterOutOfRange,
     SphereDimBelow3,
     UnequalTotalDimension,
 )
@@ -201,7 +202,7 @@ class TestInducedCycles:
         assert {tuple(sorted(c)) for c in found} == expected
 
     def test_min_len_below_four_rejected(self, p28):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange, match="length >= 4, got 3"):
             induced_cycles(p28, 3, 5)
 
 

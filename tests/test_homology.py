@@ -543,6 +543,21 @@ class TestCohomologyBasis:
         with pytest.raises(NotACocycle):
             basis.express([1, 0, 0, 0], 0)
 
+    @pytest.mark.parametrize("complex_", [polygon(5), EMPTY, RP2], ids=["polygon5", "empty", "rp2"])
+    def test_degrees_without_faces(self, complex_):
+        # the degree basis itself answers every degree outside bottom..top
+        basis = reduced_cohomology_basis(complex_)
+        for d in (-3, -2, basis.cc.top + 1, basis.cc.top + 2):
+            assert basis.faces(d) == []
+            assert basis.group(d) == Abelian(0, ())
+            assert basis.representatives(d) == []
+            assert basis.express([], d) == ((), ())
+            with pytest.raises(NotACocycle):
+                basis.express([1], d)
+            # a cochain is refused for its length, as in every degree, even a zero one
+            with pytest.raises(NotACocycle, match="length 1, expected 0"):
+                basis.express([0], d)
+
     def test_torsion_expression(self):
         # any single top face dual generates H^2 = Z/2: it evaluates to 1
         # against the mod-2 fundamental cycle
@@ -682,7 +697,7 @@ class TestExpressProperty:
     @settings(max_examples=40, deadline=None)
     def test_torsion_residue_is_the_coefficient_sum(self, data):
         # H^2(RP^2) = Z/2 is detected by the mod-2 fundamental cycle
-        basis = CohomologyBasis.of_complex(RP2)
+        basis = reduced_cohomology_basis(RP2)
         vec = integers(data, basis.cc.n_faces(2))
         assert basis.express(vec, 2) == ((), (sum(vec) % 2,))
 

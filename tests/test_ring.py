@@ -32,7 +32,12 @@ from moment_angle import (
 )
 from moment_angle import homology, ring
 from moment_angle.bitsets import shuffle_sign
-from moment_angle.errors import DegreeMismatch, NotACocycle, ParameterOutOfRange
+from moment_angle.errors import (
+    DegreeMismatch,
+    NotACocycle,
+    ParameterOutOfRange,
+    VertexOutOfRange,
+)
 from moment_angle.reproduction import mcgavran_model
 from moment_angle.ring import ring_json_obj
 from moment_angle.snf import invariant_factors, is_unimodular_square
@@ -482,6 +487,11 @@ class TestFunctoriality:
         with pytest.raises(NotASubcomplex):
             functoriality_check(p28, (7, 8, 9))
 
+    @pytest.mark.parametrize("label", [0, -1])
+    def test_label_below_one_is_refused(self, p28, label):
+        with pytest.raises(VertexOutOfRange, match=f"1-based, got {label}"):
+            functoriality_check(p28, (label, 1))
+
     def test_negative_pair_budget_is_refused(self):
         with pytest.raises(ParameterOutOfRange, match="max_pairs"):
             functoriality_check(polygon(6), (1, 2, 3, 4), max_pairs=-1)
@@ -625,6 +635,12 @@ class TestBlockProducts:
         with pytest.raises(KeyError):
             presentation.product(0, len(presentation.generators))
 
+    @pytest.mark.parametrize("label", [0, -1])
+    def test_find_refuses_a_label_below_one(self, label):
+        presentation = ring_presentation(polygon(4))
+        with pytest.raises(VertexOutOfRange, match=f"1-based, got {label}"):
+            presentation.find((label, 1), 0)
+
     def test_product_class_refuses_unknown_and_missing_generators(self):
         presentation = ring_presentation(polygon(4))
         n = len(presentation.generators)
@@ -652,7 +668,10 @@ class TestGeneratorClasses:
         for g in presentation.generators:
             cls = g.cls
             assert isinstance(cls, HochsterClass)
-            assert cls == presentation.context(g.subset).classes(g.degree)[g.index]
+            context = presentation.context(g.subset)
+            rep = context.basis.representatives(g.degree)[g.index]
+            faces = context.faces(g.degree)
+            assert cls == HochsterClass(g.subset, g.degree, {f: c for f, c in zip(faces, rep) if c})
             assert (cls.subset, cls.degree) == (g.subset, g.degree)
             assert presentation.express_class(cls) == [(g.gid, 1)]
 
@@ -764,12 +783,16 @@ class TestSharedBases:
                     holders.setdefault(id(basis.representatives), []).append((ctx, d))
         (a, d), (b, _) = next(blocks for blocks in holders.values() if len(blocks) > 1)[:2]
         assert a.subset != b.subset
-        reps, classes = b.basis.representatives(d), b.classes(d)
-        own_reps, own_classes = a.basis.representatives(d), a.classes(d)
+
+        def classes(ctx):
+            return [ctx.class_of(d, i) for i in range(len(ctx.basis.representatives(d)))]
+
+        reps, twin_classes = b.basis.representatives(d), classes(b)
+        own_reps, own_classes = a.basis.representatives(d), classes(a)
         a.basis.representatives(d)[0][0] += 7
-        a.classes(d)[0].cochain.clear()
+        a.class_of(d, 0).cochain.clear()
         own_reps[0][:] = [0] * len(own_reps[0])
         own_classes[0].cochain.clear()
         assert b.basis.representatives(d) == reps
-        assert b.classes(d) == classes
+        assert classes(b) == twin_classes
         assert a.basis.representatives(d) == reps
