@@ -156,9 +156,9 @@ def verify_csp_model(
     factor count t >= 2 the rank of t-fold product spans in each interior
     degree against the model's proper sub-collection count; existence of
     nonzero t-fold products into the top degree exactly for t up to the
-    largest summand.  Each factor count t from 2 to one past the largest
-    summand takes one ``product_span_rank`` fold, and its interior and top
-    degrees are read from that one table.
+    largest summand.  One ``product_span_rank`` fold, to one past the largest
+    summand, gives the ranks of every factor count t on its way; each t's
+    interior and top degrees are read from its level.
     """
     if isinstance(model, str):
         model = parse_model(model)
@@ -188,8 +188,10 @@ def verify_csp_model(
     if additive_ok:
         max_q = model.max_factors()
         degrees = sorted(p for p in expected if 0 < p < top)
+        levels = []  # levels[t - 1]: the span ranks of products of >= t generators
+        product_span_rank(presentation, max_q + 1, levels)
         for t in range(2, max_q + 1):
-            got = product_span_rank(presentation, t)
+            got = levels[t - 1]
             want = model_product_rank(model, t)
             for p in degrees:
                 if got.get(p, 0) != want.get(p, 0):
@@ -200,7 +202,7 @@ def verify_csp_model(
             if want_top != got_top:
                 top_products_ok = False
                 mismatches.append(("top-product", t, got_top, want_top))
-        if product_span_rank(presentation, max_q + 1).get(top, 0) != 0:
+        if levels[max_q].get(top, 0) != 0:
             top_products_ok = False
             mismatches.append(("top-product", max_q + 1, "nonzero", 0))
     else:

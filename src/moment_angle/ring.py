@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .bitsets import is_subset, lex_key, mask_of, shuffle_sign, vertices_of
-from .complexes import SimplicialComplex, _as_mask
+from .complexes import SimplicialComplex, _as_mask, subset_mask
 from .errors import (
     BasisMismatch,
     DegreeMismatch,
@@ -220,26 +220,28 @@ class _BlockContext:
     """Cohomology basis of one full subcomplex, faces in parent labels.
 
     ``basis`` is the one its presentation keeps for the block's shape (see
-    :class:`RingPresentation`).  Only the first block of a shape builds a
-    chain complex, the one that basis is computed on; every block lists
-    its own faces, and their positions, only in the degrees that its
+    :class:`RingPresentation`), found through the block's
+    :meth:`.SimplicialComplex.shape_key`.  Only the first block of a shape
+    builds a chain complex, the one that basis is computed on; every block
+    lists its own faces, and their positions, only in the degrees that its
     methods ask for, and reads ``basis`` through those positions.  A class
     is written in ``basis`` through :meth:`index` by the pair loop and by
     :meth:`RingPresentation.express_class`, not by the block.
     """
 
-    def __init__(self, complex_: SimplicialComplex, subset: int, bases: dict):
+    def __init__(self, complex_: SimplicialComplex, subset: int, bases: dict, shapes: dict):
         self.complex = complex_
         self.subset = subset
         self._faces = {}  # degree -> this block's faces, in lex order
         self._index = {}  # degree -> {face: position in _faces}
-        shape = complex_.subset_shape(subset)
-        basis = bases.get(shape)
-        if basis is None:
+        key = complex_.shape_key(subset)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = complex_.subset_shape(subset)
             cc = ChainComplexZ.of_subset(complex_, subset)
-            basis = bases[shape] = CohomologyBasis(cc)
+            bases[shape] = CohomologyBasis(cc)
             self._faces.update(cc.faces)
-        self.basis = basis
+        self.basis = bases[shape]
 
     def faces(self, degree: int) -> list:
         """The block's degree-d faces, listed when first asked for.
@@ -301,14 +303,15 @@ class RingPresentation:
 
     Blocks whose full subcomplexes have the same shape
     (:meth:`.SimplicialComplex.subset_shape`) share one
-    :class:`.CohomologyBasis`, kept in ``_bases``.  Faces are listed in lex
-    order of parent labels and the relabeling to 1..|J| keeps that order,
-    so twins have the same local boundary matrices.  The first block of a
-    shape builds its chain complex and the basis on it, two one-sided
-    Smith forms per degree; every later twin only lists its own faces in
-    the degrees it is asked for (98 shapes for the 439 blocks of polygon
-    9).  The memo lives and dies with the presentation; nothing carries
-    over to another one.
+    :class:`.CohomologyBasis`, kept in ``_bases``; ``_shapes`` maps each
+    block's :meth:`.SimplicialComplex.shape_key` to its shape, so each
+    shape is scanned once.  Faces are listed in lex order of parent labels
+    and the relabeling to 1..|J| keeps that order, so twins have the same
+    local boundary matrices.  The first block of a shape builds its chain
+    complex and the basis on it, two one-sided Smith forms per degree;
+    every later twin only lists its own faces in the degrees it is asked
+    for (98 shapes for the 439 blocks of polygon 9).  The memo lives and
+    dies with the presentation; nothing carries over to another one.
     """
 
     complex: SimplicialComplex
@@ -319,12 +322,13 @@ class RingPresentation:
     has_torsion: bool
     _contexts: dict = field(default_factory=dict, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)  # shape -> CohomologyBasis
+    _shapes: dict = field(default_factory=dict, repr=False)  # shape key -> shape
     _blocks: dict = field(default_factory=dict, repr=False)  # (subset, degree) -> gid range
 
     def context(self, subset: int) -> _BlockContext:
         ctx = self._contexts.get(subset)
         if ctx is None:
-            ctx = _BlockContext(self.complex, subset, self._bases)
+            ctx = _BlockContext(self.complex, subset, self._bases, self._shapes)
             self._contexts[subset] = ctx
         return ctx
 
@@ -505,7 +509,7 @@ def ring_presentation(
     return presentation
 
 
-def product_span_rank(presentation: RingPresentation, t: int) -> dict:
+def product_span_rank(presentation: RingPresentation, t: int, levels: list | None = None) -> dict:
     """Rank over Q of the span of products of >= t generators, by degree.
 
     That span is the t-th power of the ideal A+ of positive-degree classes,
@@ -520,6 +524,10 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
     factors.  Each block's rows are cut down to a basis over Q by
     :func:`.snf.row_basis`; a rank over Q does not depend on which basis
     is kept.  Returns ``{p: rank}`` with the degrees of rank 0 left out.
+
+    The fold passes every level below t on its way, so a caller that wants
+    several factor counts passes a list as ``levels`` and folds once: the
+    ranks of levels 1 to t are appended to it, level t last.
     """
     if t < 1:
         raise ParameterOutOfRange(f"t must be >= 1, got {t}")
@@ -529,7 +537,16 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
     for (g, h), terms in presentation.products.items():
         by_right.setdefault(h, []).append((generators[g], terms))
     level = {key: identity(len(ids)) for key, ids in blocks.items()}
-    for _ in range(t - 1):
+    for k in range(1, t + 1):
+        ranks = {}
+        for (s, d), basis in level.items():
+            p = s.bit_count() + d + 1
+            ranks[p] = ranks.get(p, 0) + len(basis)
+        ranks = dict(sorted(ranks.items()))
+        if levels is not None:
+            levels.append(ranks)
+        if k == t:
+            return ranks
         rows = {}
         for (s, d), basis in level.items():
             start = blocks[(s, d)].start
@@ -549,11 +566,6 @@ def product_span_rank(presentation: RingPresentation, t: int) -> dict:
                     if any(row):
                         rows.setdefault(key, []).append(row)
         level = {key: row_basis(block_rows) for key, block_rows in rows.items()}
-    ranks = {}
-    for (s, d), basis in level.items():
-        p = s.bit_count() + d + 1
-        ranks[p] = ranks.get(p, 0) + len(basis)
-    return dict(sorted(ranks.items()))
 
 
 @dataclass
@@ -638,9 +650,7 @@ def functoriality_check(
     """
     if max_pairs < 0:
         raise ParameterOutOfRange(f"max_pairs must be >= 0, got {max_pairs}")
-    subset = _as_mask(subset)
-    if subset & ~((1 << complex_.m) - 1):
-        raise NotASubcomplex(f"{vertices_of(subset)} is not within 1..{complex_.m}")
+    subset = subset_mask(subset, complex_.m, NotASubcomplex)
     sub = complex_.full_subcomplex(subset)
     parents = sub.parent_vertices
     sub_table = bigraded_betti(sub)

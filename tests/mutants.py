@@ -116,6 +116,24 @@ MUTANTS = [
         "support = _positions(cls.cochain, context.index(cls.degree - 1))",
         ["tests/test_ring.py::TestGeneratorClasses"],
     ),
+    (
+        "moment_angle/resolutions.py",
+        "first.setdefault(complex_.shape_key(s), s)",
+        "first.setdefault(s.bit_count(), s)",
+        ["tests/test_resolutions.py::TestSharedStrata"],
+    ),
+    (
+        "moment_angle/complexes.py",
+        "key = (ids[rest], ids[subset ^ second])",
+        "key = (ids[rest], ids[rest])",
+        ["tests/test_complexes.py::TestSubsetShape::test_table_matches_a_direct_scan"],
+    ),
+    (
+        "moment_angle/complexes.py",
+        "key += (both,)",
+        "key += ()",
+        ["tests/test_complexes.py::TestSubsetShape::test_table_matches_a_direct_scan"],
+    ),
 ]
 
 

@@ -127,20 +127,25 @@ class TestVerifyModel:
     @pytest.mark.parametrize(
         "complex_, model, factor_counts",
         [
-            pytest.param(construct_p28_8(), TARGET, [2, 3, 4], id="p28"),
-            pytest.param(polygon(8), mcgavran_model(2, 5), [2, 3], id="polygon8"),
+            pytest.param(construct_p28_8(), TARGET, [4], id="p28"),
+            pytest.param(polygon(8), mcgavran_model(2, 5), [3], id="polygon8"),
         ],
     )
     def test_one_span_rank_fold_per_factor_count(self, monkeypatch, complex_, model, factor_counts):
+        # one fold, to one past the largest summand, serves every factor count
         calls = []
+        folds = []
 
         def counted(presentation, t, *rest):
             calls.append(t)
+            folds.append((presentation, t, *rest))
             return product_span_rank(presentation, t, *rest)
 
         monkeypatch.setattr(classify, "product_span_rank", counted)
         assert verify_csp_model(complex_, model).consistent
         assert calls == factor_counts
+        ((presentation, t, levels),) = folds
+        assert levels == [product_span_rank(presentation, k) for k in range(1, t + 1)]
 
     def test_cross_polytopes_match_powers_of_three_spheres(self):
         for n in (2, 3, 4):

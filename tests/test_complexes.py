@@ -22,8 +22,14 @@ from moment_angle import (
     vertices_of,
     write_cplx,
 )
-from moment_angle.complexes import P28_FACETS, P28_MISSING_FACES
+from moment_angle.complexes import (
+    P28_FACETS,
+    P28_MISSING_FACES,
+    SHAPE_TABLE_MAX_VERTICES,
+    _relabeled,
+)
 from moment_angle.errors import (
+    CapExceeded,
     IsolatedVertex,
     LabelCollision,
     NotAFacet,
@@ -165,6 +171,14 @@ class TestMissingFaces:
                     assert a & ~b and b & ~a
 
 
+# masks that are no subset of p28's vertices 1..8, and how each is refused
+OUTSIDE_MASKS = [
+    (-1, "subset mask -1 is negative, not within 0..255"),
+    (-3, "subset mask -3 is negative, not within 0..255"),
+    (1 << 8, r"subset \(9,\) not within 1..8"),
+]
+
+
 class TestFullSubcomplex:
     def test_p28_inner_square_block(self, p28):
         sub = p28.full_subcomplex((1, 2, 3, 4))
@@ -181,6 +195,12 @@ class TestFullSubcomplex:
 
     def test_empty_subset(self, p28):
         assert p28.full_subcomplex(()) == EMPTY
+
+    @pytest.mark.parametrize("mask, message", OUTSIDE_MASKS)
+    def test_mask_outside_the_subsets_is_refused(self, p28, mask, message):
+        # -3 was once refused as if it named the vertices (1, 2)
+        with pytest.raises(VertexOutOfRange, match=message):
+            p28.full_subcomplex(mask)
 
     def test_missing_face_restriction(self, p28):
         # the minimal non-faces of a full subcomplex are the restrictions
@@ -214,6 +234,33 @@ class TestSubsetShape:
         shapes = {shape for shape, _ in pairs}
         subcomplexes = {sub for _, sub in pairs}
         assert len(shapes) == len(pairs) == len(subcomplexes)
+
+    @pytest.mark.parametrize("complex_", SHAPE_INPUTS)
+    def test_table_matches_a_direct_scan(self, complex_):
+        # ids are handed out in order of each shape's smallest mask
+        missing = complex_.missing_faces()
+        scans = [
+            (subset.bit_count(), tuple(_relabeled(f, subset) for f in missing if not f & ~subset))
+            for subset in range(1 << complex_.m)
+        ]
+        first: dict = {}
+        expected = [first.setdefault(scan, len(first)) for scan in scans]
+        assert complex_.shape_ids() == expected
+        assert [complex_.shape_key(subset) for subset in range(1 << complex_.m)] == expected
+
+    def test_no_table_past_the_cap(self):
+        # one edge and 21 ghosts: the shape is scanned, no 2^23 table is built
+        complex_ = SimplicialComplex(SHAPE_TABLE_MAX_VERTICES + 1, [(1, 2)], allow_ghosts=True)
+        with pytest.raises(CapExceeded, match="shape table of 2\\^23 subsets"):
+            complex_.shape_ids()
+        assert complex_.shape_key((2, 3, 5)) == complex_.subset_shape((2, 3, 5))
+        assert complex_.subset_shape((2, 3, 5)) == (3, (mask_of((2,)), mask_of((3,))))
+
+    @pytest.mark.parametrize("mask, message", OUTSIDE_MASKS)
+    def test_mask_outside_the_subsets_is_refused(self, p28, mask, message):
+        # -1 once gave a one-vertex shape holding all ten missing faces
+        with pytest.raises(VertexOutOfRange, match=message):
+            p28.subset_shape(mask)
 
     def test_shape_relabels_missing_faces_within_the_subset(self, p28):
         # {5, 6} and {7, 8} are missing faces, on ranks 1, 2 of {5, 6, 7, 8}

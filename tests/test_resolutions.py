@@ -324,6 +324,56 @@ class TestSharedPieces:
         self.check(GHOSTED[name])
 
 
+class TestSharedStrata:
+    """The Taylor side builds one stratum per shape of K_S; each S built alone must agree.
+
+    :func:`taylor_strata` builds every stratum on its own, so a shape that
+    does not fix the stratum (reuse keyed by anything coarser than
+    ``subset_shape``) shows as a per-S difference.
+    """
+
+    @staticmethod
+    def check(complex_):
+        assert taylor_bigraded(complex_).strata == stratum_groups(taylor_strata(complex_))
+
+    @staticmethod
+    def shapes(complex_):
+        supports = set(lyubeznik_supports(complex_.missing_faces()).values())
+        return supports, {complex_.subset_shape(support) for support in supports}
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        complex_ = NAMED[name]
+        supports, shapes = self.shapes(complex_)
+        assert len(shapes) < len(supports)  # some stratum is shared
+        self.check(complex_)
+
+    def test_corpus_sample(self, small_corpus):
+        for complex_ in small_corpus:
+            self.check(complex_)
+
+    @pytest.mark.parametrize("name", GHOSTED)
+    def test_ghost_vertices(self, name):
+        self.check(GHOSTED[name])
+
+    @pytest.mark.parametrize("name", [*NAMED, *GHOSTED])
+    def test_one_stratum_built_per_shape(self, name, monkeypatch):
+        complex_ = {**NAMED, **GHOSTED}[name]
+        built = []
+        original = resolutions.ChainComplexZ
+
+        def counting(faces, columns):
+            built.append(faces)
+            return original(faces, columns)
+
+        monkeypatch.setattr(resolutions, "ChainComplexZ", counting)
+        taylor_bigraded(complex_)
+        supports, shapes = self.shapes(complex_)
+        assert len(built) == len(shapes)
+        if name == "p28":
+            assert (len(supports), len(shapes)) == (63, 45)
+
+
 class TestOffLowestStar:
     """The subcomplex :func:`koszul_bigraded` reduces, piece by piece.
 

@@ -292,6 +292,11 @@ class TestRanks:
         assert product_span_rank(p28_ring, 3) == {12: 1}
         assert product_span_rank(p28_ring, 4) == {}
 
+    def test_one_fold_passes_every_level(self, p28_ring):
+        levels = []
+        assert product_span_rank(p28_ring, 4, levels) == {}
+        assert levels == [product_span_rank(p28_ring, t) for t in (1, 2, 3, 4)]
+
     @pytest.mark.parametrize("t", [0, -1])
     def test_fewer_than_one_factor_is_refused(self, t):
         presentation = ring_presentation(polygon(5))
@@ -491,6 +496,14 @@ class TestFunctoriality:
     def test_label_below_one_is_refused(self, p28, label):
         with pytest.raises(VertexOutOfRange, match=f"1-based, got {label}"):
             functoriality_check(p28, (label, 1))
+
+    @pytest.mark.parametrize("mask", [-1, -3])
+    def test_negative_mask_is_refused(self, p28, mask):
+        # -1 was once refused as if it named the vertex 1
+        from moment_angle.errors import NotASubcomplex
+
+        with pytest.raises(NotASubcomplex, match=f"subset mask {mask} is negative"):
+            functoriality_check(p28, mask)
 
     def test_negative_pair_budget_is_refused(self):
         with pytest.raises(ParameterOutOfRange, match="max_pairs"):
@@ -758,8 +771,17 @@ class TestSharedBases:
         monkeypatch.setattr(homology, "smith_normal_form", counting)
         monkeypatch.setattr(homology._DegreeBasis, "__init__", counting_init)
         monkeypatch.setattr(homology.ChainComplexZ, "__init__", counting_complex_init)
+        scans = []
+        original_shape = SimplicialComplex.subset_shape
+
+        def counting_shape(self, subset):
+            scans.append(subset)
+            return original_shape(self, subset)
+
+        monkeypatch.setattr(SimplicialComplex, "subset_shape", counting_shape)
         first = ring_presentation(complex_, table=table)
         assert (len(first._contexts), len(first._bases), len(built)) == (439, 98, 98)
+        assert len(scans) == len(first._shapes) == 98  # one scan per shape, not one per block
         # only the first block of each shape builds a chain complex
         assert len(complexes) == len(first._bases)
         assert len(calls) <= 2 * len(built)
