@@ -88,7 +88,7 @@ MUTANTS = [
     ),
     (
         "moment_angle/ring.py",
-        "                            _coboundary_check(target, cochain, columns)\n",
+        "                _coboundary_check(target, cochain, columns)\n",
         "",
         ["tests/test_checks.py::test_corrupted_representative_is_refused_in_the_pair_loop"],
     ),
@@ -115,6 +115,14 @@ MUTANTS = [
         "support = _positions(cls.cochain, context.index(cls.degree))",
         "support = _positions(cls.cochain, context.index(cls.degree - 1))",
         ["tests/test_ring.py::TestGeneratorClasses"],
+    ),
+    (
+        "moment_angle/ring.py",
+        '        if basis.group != group:\n            raise BasisMismatch(\n'
+        '                f"block ({vertices_of(self.subset)}, {degree}) has basis group "\n'
+        '                f"{basis.group}, the table {group}"\n            )\n',
+        "",
+        ["tests/test_ring.py::TestPairedBases::test_a_paired_block_off_the_table_is_refused"],
     ),
     (
         "moment_angle/resolutions.py",

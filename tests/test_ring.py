@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,7 @@ from moment_angle import (
 from moment_angle import homology, ring
 from moment_angle.bitsets import shuffle_sign
 from moment_angle.errors import (
+    BasisMismatch,
     DegreeMismatch,
     NotACocycle,
     ParameterOutOfRange,
@@ -818,3 +820,95 @@ class TestSharedBases:
         assert b.basis.representatives(d) == reps
         assert classes(b) == twin_classes
         assert a.basis.representatives(d) == reps
+
+
+def paired_blocks(presentation):
+    """Oracle: the blocks of every two disjoint blocks with a free target, and that target."""
+    blocks = presentation._blocks
+    out = set()
+    for s1, d1 in blocks:
+        for s2, d2 in blocks:
+            target = (s1 | s2, d1 + d2 + 1)
+            if not s1 & s2 and target in blocks:
+                out.update(((s1, d1), (s2, d2), target))
+    return out
+
+
+def doctored(table, key, shift):
+    """A copy of ``table`` whose free rank at ``key`` is off by ``shift``."""
+    entries = dict(table.entries)
+    entries[key] = entries[key]._replace(rank=entries[key].rank + shift)
+    return dataclasses.replace(table, entries=entries)
+
+
+@pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+class TestPairedBases:
+    """Generators are counted from the table; bases are built for block pairs or when read."""
+
+    def test_bases_are_built_once_per_paired_shape_and_degree(self, small_corpus, monkeypatch):
+        built = []
+        original_init = homology._DegreeBasis.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            original_init(self, *args)
+
+        monkeypatch.setattr(homology._DegreeBasis, "__init__", counting_init)
+        unpaired = 0
+        for complex_ in small_corpus:
+            table = bigraded_betti(complex_)
+            built.clear()
+            presentation = ring_presentation(complex_, table=table)
+            want = {(complex_.subset_shape(s), d) for s, d in paired_blocks(presentation)}
+            got = {(shape, d) for shape, basis in presentation._bases.items() for d in basis._degrees}
+            assert got == want
+            assert len(built) == len(want)
+            if presentation._blocks and not want:
+                unpaired += 1
+                assert not built
+        assert unpaired > 0  # the slice holds complexes with blocks but no block pair
+
+    def test_reading_every_class_changes_no_output(self, small_corpus):
+        for complex_ in small_corpus:
+            presentation = ring_presentation(complex_)
+            before = json.dumps(ring_json_obj(presentation), sort_keys=True)
+            for g in presentation.generators:
+                assert presentation.express_class(g.cls) == [(g.gid, 1)]
+            assert json.dumps(ring_json_obj(presentation), sort_keys=True) == before
+            # every degree built on a block's shared basis, its twins' reads included
+            checked = {
+                (subset, d): basis.group
+                for subset, ctx in presentation._contexts.items()
+                for d, basis in ctx.basis._degrees.items()
+            }
+            assert set(presentation._blocks) <= set(checked)
+            for (subset, d), group in checked.items():
+                assert group == presentation.table.group(subset, d)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_paired_block_off_the_table_is_refused(self, shift):
+        complex_ = polygon(7)
+        table = bigraded_betti(complex_)
+        presentation = ring_presentation(complex_, table=table)
+        # a factor block of rank 2 or more: no product has degree 0, so no
+        # product is written in its basis, and only the check sees the change
+        subset, d = next(
+            key for key in sorted(paired_blocks(presentation)) if key[1] == 0 and table.entries[key].rank > 1
+        )
+        with pytest.raises(BasisMismatch, match=re.escape(f"block ({vertices_of(subset)}, {d})")):
+            ring_presentation(complex_, table=doctored(table, (subset, d), shift))
+
+    def test_an_unpaired_block_off_the_table_is_refused_when_read(self, small_corpus):
+        for complex_ in small_corpus:
+            honest = ring_presentation(complex_)
+            unpaired = set(honest._blocks) - paired_blocks(honest)
+            if unpaired:
+                key = min(unpaired)
+                break
+        # no basis of the block is built, so the presentation is made
+        presentation = ring_presentation(complex_, table=doctored(honest.table, key, 1))
+        g = presentation.find(*key)
+        cls = honest.find(*key).cls
+        for read in (lambda: g.cls, lambda: presentation.express_class(cls)):
+            with pytest.raises(BasisMismatch, match=re.escape(f"block ({vertices_of(key[0])}, {key[1]})")):
+                read()
