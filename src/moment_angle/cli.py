@@ -7,8 +7,8 @@ alone prints the text, or the payload with ``--json``, to stdout or
 ``--out``.  Exit codes: 0 on success or a passing check, 1 when a
 verification fails, an obstruction fires or the three methods disagree, 2
 on usage errors (bad arguments, an option the subcommand does not take,
-``zk --bigraded`` with ``--method koszul|taylor``, malformed input, or a
-refused cap or budget).
+``zk --bigraded`` with ``--method koszul|taylor``, malformed or unreadable
+input, an ``--out`` that cannot be written, or a refused cap or budget).
 """
 
 from __future__ import annotations
@@ -61,7 +61,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load(path: str) -> SimplicialComplex:
-    return read_cplx(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[: exc.start].count(b"\n") + 1
+        raise ParseError(line_no, f"not UTF-8 ({exc.reason})") from None
+    return read_cplx(text)
 
 
 def _group_rows(groups: dict) -> list:
@@ -289,8 +294,8 @@ def main(argv=None) -> int:
     except VertexCapExceeded as exc:
         sys.stderr.write(f"{exc} (use --max-vertices to override)\n")
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"no such file: {exc.filename}\n")
+    except OSError as exc:  # an input that cannot be read, an --out that cannot be written
+        sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except MomentAngleError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -52,6 +52,7 @@ from typing import Iterator
 from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
+from .hochster import _refuse_threads, bigraded_betti
 from .homology import ZERO_GROUP, ChainComplexZ, sum_groups
 
 TAYLOR_BASIS_CAP = 1 << 20
@@ -460,8 +461,6 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     first, so a complex over either basis budget raises CapExceeded before
     the subset sweep starts.
     """
-    from .hochster import _refuse_threads, bigraded_betti  # local import to avoid a cycle
-
     check_koszul_budget(complex_)
     if table is None:  # a bad thread count is refused before the Taylor side's work
         _refuse_threads(kwargs.get("threads", 1))

@@ -7,24 +7,24 @@ the shuffle sorting sigma | tau, for faces sigma | tau of K with sigma in I
 and tau in J.  :func:`star_product` reads it off the pairs of supported
 faces, at a cost of the product of the two support sizes.
 :func:`ring_presentation` counts each block's generators from the table's
-free rank and walks the submasks once to list the pairs of blocks.  It
-builds the degree bases of the paired blocks only, in block order, each
-checked against the table's group, and multiplies the representatives of
-each pair as supports read off the two block bases, through the same join
-and the same coboundary check, writing each product in the target block's
-basis.  Any other block's basis, and a generator's :class:`HochsterClass`,
-is built only when a class is read.  The product is associative on the
-nose, and it commutes as h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced
-degrees d1, d2, which is the rule the stored products obey.  That is NOT
-graded commutativity in the moment-angle total degrees |J| + d + 1, and no
-per-class sign can make it so: changing the sign of a class changes g.h and
-h.g alike, so the commutation sign of two blocks does not depend on the
-basis.  The structure constants therefore differ from the cup product of
-the moment-angle complex by a sign on some pairs of blocks.  If that sign
-depends only on the two blocks, every t-fold product is off by a sign at
-most, so ranks of product spans over Q, the unimodularity of the pairing
-and the existence of top products do not see it; the golden assertions
-downstream are stated as those.
+free rank and walks the submasks once, multiplying each pair of blocks
+where the walk finds it: the representatives of the pair, as supports read
+off the two block bases, go through the same join and the same coboundary
+check, and each product is written in the target block's basis.  A block's
+degree basis is built, and checked against the table's group, on the
+block's first pair; any other block's basis, and a generator's
+:class:`HochsterClass`, is built only when a class is read.  The product
+is associative on the nose, and it commutes as h.g = (-1)^{(d1+1)(d2+1)}
+g.h in the reduced degrees d1, d2, which is the rule the stored products
+obey.  That is NOT graded commutativity in the moment-angle total degrees
+|J| + d + 1, and no per-class sign can make it so: changing the sign of a
+class changes g.h and h.g alike, so the commutation sign of two blocks
+does not depend on the basis.  The structure constants therefore differ
+from the cup product of the moment-angle complex by a sign on some pairs
+of blocks.  If that sign depends only on the two blocks, every t-fold
+product is off by a sign at most, so ranks of product spans over Q, the
+unimodularity of the pairing and the existence of top products do not see
+it; the golden assertions downstream are stated as those.
 """
 
 from __future__ import annotations
@@ -222,12 +222,12 @@ class RingGenerator:
 class _BlockContext:
     """Cohomology basis of one full subcomplex, faces in parent labels.
 
-    ``basis`` is the one its presentation keeps for the block's shape (see
-    :class:`RingPresentation`), found through the block's
-    :meth:`.SimplicialComplex.shape_key`.  Only the first block of a shape
-    builds a chain complex, the one that basis is computed on; every block
-    lists its own faces, and their positions, only in the degrees that its
-    methods ask for, and reads ``basis`` through those positions.  A class
+    ``basis`` is the one its presentation keeps under the block's
+    :meth:`.SimplicialComplex.shape_key` (see :class:`RingPresentation`).
+    Only the first block of a shape builds a chain complex, the one that
+    basis is computed on; every block lists its own faces, and their
+    positions, only in the degrees that its methods ask for, and reads
+    ``basis`` through those positions.  A class
     is written in ``basis`` through :meth:`index` by the pair loop and by
     :meth:`RingPresentation.express_class`, not by the block.  ``table`` is
     the presentation's, which :meth:`degree` checks each basis against.
@@ -235,22 +235,19 @@ class _BlockContext:
 
     __slots__ = ("complex", "subset", "table", "_faces", "_index", "basis")
 
-    def __init__(
-        self, complex_: SimplicialComplex, subset: int, table: BigradedBetti, bases: dict, shapes: dict
-    ):
+    def __init__(self, complex_: SimplicialComplex, subset: int, table: BigradedBetti, bases: dict):
         self.complex = complex_
         self.subset = subset
         self.table = table
         self._faces = {}  # degree -> this block's faces, in lex order
         self._index = {}  # degree -> {face: position in _faces}
         key = complex_.shape_key(subset)
-        shape = shapes.get(key)
-        if shape is None:
-            shape = shapes[key] = complex_.subset_shape(subset)
+        basis = bases.get(key)
+        if basis is None:
             cc = ChainComplexZ.of_subset(complex_, subset)
-            bases[shape] = CohomologyBasis(cc)
+            basis = bases[key] = CohomologyBasis(cc)
             self._faces.update(cc.faces)
-        self.basis = bases[shape]
+        self.basis = basis
 
     def faces(self, degree: int) -> list:
         """The block's degree-d faces, listed when first asked for.
@@ -329,15 +326,15 @@ class RingPresentation:
 
     Blocks whose full subcomplexes have the same shape
     (:meth:`.SimplicialComplex.subset_shape`) share one
-    :class:`.CohomologyBasis`, kept in ``_bases``; ``_shapes`` maps each
-    block's :meth:`.SimplicialComplex.shape_key` to its shape, so each
-    shape is scanned once.  Faces are listed in lex order of parent labels
+    :class:`.CohomologyBasis`, kept in ``_bases`` under their
+    :meth:`.SimplicialComplex.shape_key`, so no shape is scanned while a
+    shape table is kept.  Faces are listed in lex order of parent labels
     and the relabeling to 1..|J| keeps that order, so twins have the same
     local boundary matrices.  The first block of a shape builds its chain
     complex; every later twin only lists its own faces in the degrees it is
     asked for (98 shapes for the 439 blocks of polygon 9).  A degree's
     basis on that complex, two one-sided Smith forms, is built only for a
-    block in a block pair, in block order, or when a class of a block is
+    block in a block pair, on its first pair, or when a class of a block is
     read (``RingGenerator.cls``, :meth:`express_class`); generators are
     counted from the table's free ranks, not from bases.  Each block checks
     the basis it reads against its group in the table, and raises
@@ -355,14 +352,13 @@ class RingPresentation:
     fundamental_id: int | None
     has_torsion: bool
     _contexts: dict = field(default_factory=dict, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)  # shape -> CohomologyBasis
-    _shapes: dict = field(default_factory=dict, repr=False)  # shape key -> shape
+    _bases: dict = field(default_factory=dict, repr=False)  # shape key -> CohomologyBasis
     _blocks: dict = field(default_factory=dict, repr=False)  # (subset, degree) -> gid range
 
     def context(self, subset: int) -> _BlockContext:
         ctx = self._contexts.get(subset)
         if ctx is None:
-            ctx = _BlockContext(self.complex, subset, self.table, self._bases, self._shapes)
+            ctx = _BlockContext(self.complex, subset, self.table, self._bases)
             self._contexts[subset] = ctx
         return ctx
 
@@ -475,22 +471,37 @@ def ring_presentation(
     # free generators has no coordinates, so the pairs are found from the
     # free targets: for a target (T, d), every nonempty proper submask s1
     # of T with a block (s1, d1) pairs with the block (T ^ s1, d - d1 - 1),
-    # if there is one.  Of s1 and T ^ s1 only the one holding T's lowest
-    # vertex is walked, so each unordered pair is multiplied once and h.g
-    # is stored from g.h by the commutation sign below.  Targets come in
-    # block order, not in (g, h) order, so the products are sorted once at
-    # the end.
+    # if there is one, and the pair is multiplied there.  Of s1 and T ^ s1
+    # only the one holding T's lowest vertex is walked, so each unordered
+    # pair is multiplied once and h.g is stored from g.h by the commutation
+    # sign below.  Targets come in block order, not in (g, h) order, so the
+    # products are sorted once at the end.
     blocks = presentation._blocks
     by_subset = {}  # subset -> {degree: gid range}
     for (subset, d), gids in blocks.items():
         by_subset.setdefault(subset, {})[d] = gids
     # A product sits at least one degree above twice the lowest block degree.
     low = min((d for _, d in blocks), default=0)
-    pairs = []  # (T, d, s1, d1, s2, d2): the block pairs, each in one order
-    paired = bytearray(len(generators))  # 1 at the first id of each block in a pair
+    contexts = presentation._contexts
+    products = presentation.products
+    faces = complex_.face_set()
+    columns = complex_.boundary_table()
+    # Representatives are multiplied as supports read off the block bases
+    # (the cochains ``RingGenerator.cls`` builds), through the join and
+    # coboundary check of ``star_product``.  A block's basis is built, and
+    # checked, on its first pair.  Supports are kept only while the loop runs.
+    supports = {}  # (subset, degree) -> each generator's supported faces
+
+    def supported(subset, degree):
+        out = supports.get((subset, degree))
+        if out is None:
+            out = supports[(subset, degree)] = contexts[subset].supports(degree)
+        return out
+
     for target, target_degrees in by_subset.items():
         if max(target_degrees) <= 2 * low:
             continue
+        context = contexts[target]
         lowest = target & -target
         rest = target ^ lowest
         part = rest  # s1 = part | lowest for every proper submask part of rest
@@ -505,50 +516,26 @@ def ring_presentation(
                 for d, gids in target_degrees.items():
                     d2 = d - d1 - 1
                     gids2 = right.get(d2)
-                    if gids2 is not None:
-                        pairs.append((target, d, s1, d1, target ^ s1, d2))
-                        paired[gids.start] = paired[gids1.start] = paired[gids2.start] = 1
-    # Only the blocks of a pair need a basis here; they are built, and
-    # checked, in block order, before the pair loop rather than on demand
-    # inside it.  Any other block's basis waits until one of its classes is
-    # read.
-    contexts = presentation._contexts
-    for (subset, d), gids in blocks.items():
-        if paired[gids.start]:
-            contexts[subset].degree(d)
-    products = presentation.products
-    faces = complex_.face_set()
-    columns = complex_.boundary_table()
-    # The loop multiplies representatives as supports read off each block's
-    # basis, the same cochains ``RingGenerator.cls`` builds, through the
-    # join and coboundary check of ``star_product``.  They are kept only
-    # while the loop runs.
-    supports = {}  # (subset, degree) -> each generator's supported faces
-
-    def supported(subset, degree):
-        out = supports.get((subset, degree))
-        if out is None:
-            out = supports[(subset, degree)] = contexts[subset].supports(degree)
-        return out
-
-    for target, d, s1, d1, s2, d2 in pairs:
-        context = contexts[target]
-        index, basis, gids = context.index(d), context.degree(d), blocks[(target, d)]
-        # h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees
-        # (TestStarProductLaws pins it on cochains)
-        flip = d1 % 2 == 0 and d2 % 2 == 0
-        rights = list(zip(blocks[(s2, d2)], supported(s2, d2)))
-        for g, left_items in zip(blocks[(s1, d1)], supported(s1, d1)):
-            for h, right_items in rights:
-                cochain = _join(left_items, right_items, faces)
-                if not cochain:
-                    continue
-                _coboundary_check(target, cochain, columns)
-                free = basis.express(_positions(cochain, index)).free
-                terms = tuple(_terms(free, gids, target, d))
-                if terms:
-                    products[(g, h)] = terms
-                    products[(h, g)] = tuple((gid, -c) for gid, c in terms) if flip else terms
+                    if gids2 is None:
+                        continue
+                    index, basis = context.index(d), context.degree(d)
+                    # h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees
+                    # (TestStarProductLaws pins it on cochains)
+                    flip = d1 % 2 == 0 and d2 % 2 == 0
+                    rights = list(zip(gids2, supported(target ^ s1, d2)))
+                    for g, left_items in zip(gids1, supported(s1, d1)):
+                        for h, right_items in rights:
+                            cochain = _join(left_items, right_items, faces)
+                            if not cochain:
+                                continue
+                            _coboundary_check(target, cochain, columns)
+                            free = basis.express(_positions(cochain, index)).free
+                            terms = tuple(_terms(free, gids, target, d))
+                            if terms:
+                                products[(g, h)] = terms
+                                products[(h, g)] = (
+                                    tuple((gid, -c) for gid, c in terms) if flip else terms
+                                )
     supports.clear()
     # Sorting the keys alone allocates no item tuples: on polygon 12 this
     # step took 5.7 ms against 10.9 ms for sorting the items (median of 11,

@@ -88,8 +88,8 @@ MUTANTS = [
     ),
     (
         "moment_angle/ring.py",
-        "                _coboundary_check(target, cochain, columns)\n",
-        "",
+        "_coboundary_check(target, cochain, columns)\n",
+        "pass\n",
         ["tests/test_checks.py::test_corrupted_representative_is_refused_in_the_pair_loop"],
     ),
     (
@@ -123,6 +123,12 @@ MUTANTS = [
         '                f"{basis.group}, the table {group}"\n            )\n',
         "",
         ["tests/test_ring.py::TestPairedBases::test_a_paired_block_off_the_table_is_refused"],
+    ),
+    (
+        "moment_angle/ring.py",
+        "complex_.shape_key(subset)",
+        "subset.bit_count()",
+        ["tests/test_ring.py::TestSharedBases::test_every_shared_degree_matches_a_fresh_basis"],
     ),
     (
         "moment_angle/resolutions.py",

@@ -206,8 +206,23 @@ class TestReports:
         assert code == 2
         assert "line 2" in err
 
-    def test_missing_file(self, capsys):
-        assert run_cli(["zk", "/no/such/file.cplx"], capsys)[0] == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zk", "{tmp}/no-such-file.cplx"],
+            ["zk", "{tmp}"],
+            ["zk", "{tmp}/latin1.cplx"],
+            ["zk", "{p5}", "--out", "{tmp}"],
+            ["construct", "polygon", "5", "--out", "{tmp}"],
+        ],
+        ids=["missing", "directory", "not-utf8", "zk-out-directory", "construct-out-directory"],
+    )
+    def test_unreadable_input_or_out_exits_2(self, argv, tmp_path, pentagon_file, capsys):
+        # exit 1 is kept for a failed check; these are usage errors, one line each
+        (tmp_path / "latin1.cplx").write_bytes("vertices 2\n# caf\xe9\n".encode("latin-1"))
+        code, out, err = run_cli([arg.format(tmp=tmp_path, p5=pentagon_file) for arg in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     # the sweep reads no environment variable: a leftover setting changes nothing
     @pytest.mark.parametrize("value", ["abc", "0", "2"])

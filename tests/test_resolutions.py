@@ -21,7 +21,7 @@ from moment_angle import (
     two_points,
     vertices_of,
 )
-from moment_angle import hochster, resolutions
+from moment_angle import resolutions
 from moment_angle.errors import CapExceeded, MethodDisagreement, ParameterOutOfRange
 from moment_angle.homology import sum_groups
 from moment_angle.resolutions import (
@@ -224,7 +224,7 @@ class TestLyubeznik:
         def no_sweep(*args, **kwargs):
             raise AssertionError("subset sweep started")
 
-        monkeypatch.setattr(hochster, "bigraded_betti", no_sweep)
+        monkeypatch.setattr(resolutions, "bigraded_betti", no_sweep)
         monkeypatch.setattr(resolutions, "TAYLOR_BASIS_CAP", 135)
         with pytest.raises(CapExceeded, match="more than 135 monomials"):
             cross_check(p28)

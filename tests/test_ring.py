@@ -31,7 +31,7 @@ from moment_angle import (
     verify_csp_model,
     vertices_of,
 )
-from moment_angle import homology, ring
+from moment_angle import complexes, homology, ring
 from moment_angle.bitsets import shuffle_sign
 from moment_angle.errors import (
     BasisMismatch,
@@ -783,18 +783,32 @@ class TestSharedBases:
         monkeypatch.setattr(SimplicialComplex, "subset_shape", counting_shape)
         first = ring_presentation(complex_, table=table)
         assert (len(first._contexts), len(first._bases), len(built)) == (439, 98, 98)
-        assert len(scans) == len(first._shapes) == 98  # one scan per shape, not one per block
+        assert not scans  # the shape ids come from the table; no shape is scanned
         # only the first block of each shape builds a chain complex
         assert len(complexes) == len(first._bases)
         assert len(calls) <= 2 * len(built)
         for subset, ctx in first._contexts.items():
-            assert ctx.basis is first._bases[complex_.subset_shape(subset)]
+            assert ctx.basis is first._bases[complex_.shape_key(subset)]
         # a second presentation starts from an empty memo
         counted = len(calls)
         calls.clear()
         second = ring_presentation(complex_, table=table)
         assert len(calls) == counted
         assert second._bases is not first._bases
+
+    @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: polygon(7), construct_p28_8, lambda: RP2, lambda: truncated_simplex(3, 4)],
+        ids=["polygon7", "p28", "rp2", "truncated_simplex(3,4)"],
+    )
+    def test_shapes_as_keys_change_no_output(self, build, monkeypatch):
+        expected = ring_json_obj(ring_presentation(build()))
+        # above the table's cap a subset's shape key is its shape tuple
+        monkeypatch.setattr(complexes, "SHAPE_TABLE_MAX_VERTICES", 4)
+        presentation = ring_presentation(build())
+        assert presentation._bases and all(isinstance(key, tuple) for key in presentation._bases)
+        assert ring_json_obj(presentation) == expected
 
     def test_mutating_one_block_leaves_its_twin(self):
         presentation = ring_presentation(polygon(9))
@@ -859,8 +873,8 @@ class TestPairedBases:
             table = bigraded_betti(complex_)
             built.clear()
             presentation = ring_presentation(complex_, table=table)
-            want = {(complex_.subset_shape(s), d) for s, d in paired_blocks(presentation)}
-            got = {(shape, d) for shape, basis in presentation._bases.items() for d in basis._degrees}
+            want = {(complex_.shape_key(s), d) for s, d in paired_blocks(presentation)}
+            got = {(key, d) for key, basis in presentation._bases.items() for d in basis._degrees}
             assert got == want
             assert len(built) == len(want)
             if presentation._blocks and not want:
