@@ -32,7 +32,7 @@ from .errors import (
     TorsionPresent,
     UnequalTotalDimension,
 )
-from .hochster import BigradedBetti, _require_sphere, bigraded_betti
+from .hochster import BigradedBetti, _require_sphere, bigraded_betti, given_or_built
 from .ring import RingPresentation, poincare_pairing_report, product_span_rank, ring_presentation
 
 
@@ -162,8 +162,9 @@ def verify_csp_model(
     """
     if isinstance(model, str):
         model = parse_model(model)
-    if presentation is None:
-        presentation = ring_presentation(complex_, **kwargs)
+    presentation = given_or_built(presentation, ring_presentation, complex_, kwargs)
+    if presentation.complex != complex_:
+        raise ParameterOutOfRange("the presentation is of another complex")
     if presentation.has_torsion:
         raise TorsionPresent("the computed ring has torsion; no model can match")
     table = presentation.table
@@ -293,8 +294,7 @@ def csp_obstructions(
     if n < 2:
         checks["all"] = ("inapplicable", f"dimension {n} < 2")
         return ObstructionReport(dim=n, checks=checks, degree_zero_classes=[])
-    if table is None:
-        table = bigraded_betti(complex_, **kwargs)
+    table = given_or_built(table, bigraded_betti, complex_, kwargs)
     missing = complex_.missing_faces()
     degree_zero = [vertices_of(subset) for (subset, d) in table.entries if d == 0]
 

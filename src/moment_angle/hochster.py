@@ -295,12 +295,6 @@ def _sweep(complex_: SimplicialComplex, prune: bool) -> dict:
     return {(subset, d): group for subset, groups in found.items() for d, group in groups}
 
 
-def _refuse_threads(threads: int) -> None:
-    """Refuse a ``threads`` other than 1: the sweep runs in this process only."""
-    if threads != 1:
-        raise ParameterOutOfRange(f"threads must be 1 (one process), got {threads!r}")
-
-
 def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
     """Refuse, before any work, a complex with more than ``max_vertices`` vertices."""
     if complex_.m > max_vertices:
@@ -309,6 +303,13 @@ def check_vertex_cap(complex_: SimplicialComplex, max_vertices: int) -> None:
             "raise the cap explicitly to spend 2^m time and 5 * 2^m bytes "
             "(9 * 2^m past 32 vertices)"
         )
+
+
+def _refuse_sweep(complex_, *, prune=True, threads=1, max_vertices=DEFAULT_VERTEX_CAP) -> None:
+    """Raise, before any work, what :func:`bigraded_betti` raises for these options (``prune`` none)."""
+    check_vertex_cap(complex_, max_vertices)
+    if threads != 1:
+        raise ParameterOutOfRange(f"threads must be 1 (one process), got {threads!r}")
 
 
 def bigraded_betti(
@@ -334,10 +335,22 @@ def bigraded_betti(
     ``threads`` accepts only 1; the keyword stays because
     ``perfbench/workloads.py`` and ``perfbench/selftest.py`` pass ``threads=1``.
     """
-    check_vertex_cap(complex_, max_vertices)
-    _refuse_threads(threads)
+    _refuse_sweep(complex_, threads=threads, max_vertices=max_vertices)
     entries = _sweep(complex_, prune)
     return BigradedBetti(m=complex_.m, dim=complex_.dim(), entries=entries)
+
+
+def given_or_built(given, build, complex_: SimplicialComplex, options: dict):
+    """``given`` (a table or a presentation) if not None, else ``build(complex_, **options)``.
+
+    Options beside a given value would go unused, so they are refused.
+    """
+    if given is None:
+        return build(complex_, **options)
+    if options:
+        what = type(given).__name__
+        raise ParameterOutOfRange(f"options {sorted(options)} would be ignored beside the given {what}")
+    return given
 
 
 def zk_betti(complex_: SimplicialComplex, **kwargs) -> dict:
@@ -371,8 +384,7 @@ def alexander_duality_check(
     coefficients (rank is shared, torsion shifts one degree down).
     """
     n = _require_sphere(complex_)
-    if table is None:
-        table = bigraded_betti(complex_, **kwargs)
+    table = given_or_built(table, bigraded_betti, complex_, kwargs)
     full = (1 << complex_.m) - 1
     checked = 0
     for subset in range(1 << complex_.m):
@@ -410,8 +422,7 @@ def poincare_check(
 ) -> PoincareReport:
     """Betti symmetry b_p = b_{top-p} and the torsion pairing p <-> top+1-p."""
     n = _require_sphere(complex_)
-    if table is None:
-        table = bigraded_betti(complex_, **kwargs)
+    table = given_or_built(table, bigraded_betti, complex_, kwargs)
     top = complex_.m + n + 1
     total = table.total()
 

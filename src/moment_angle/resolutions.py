@@ -52,7 +52,7 @@ from typing import Iterator
 from .bitsets import lex_key, vertices_of
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, MethodDisagreement, NotAChainComplex
-from .hochster import _refuse_threads, bigraded_betti
+from .hochster import _refuse_sweep, bigraded_betti, given_or_built
 from .homology import ZERO_GROUP, ChainComplexZ, sum_groups
 
 TAYLOR_BASIS_CAP = 1 << 20
@@ -457,16 +457,15 @@ def cross_check(complex_: SimplicialComplex, *, table=None, **kwargs) -> CrossCh
     multidegree J against the subset table: each Koszul group (i, J) and
     each Taylor stratum (r, S) with its subset entry, both ways.  Raises
     MethodDisagreement at the first difference; this is a bug signal, not a
-    recoverable condition.  The Taylor side (Lyubeznik's subcomplex) runs
-    first, so a complex over either basis budget raises CapExceeded before
-    the subset sweep starts.
+    recoverable condition.  Whatever the sweep would refuse (the vertex cap,
+    the thread count, options beside a given table) is refused first.  The
+    Taylor side (Lyubeznik's subcomplex) runs next, so a complex over either
+    basis budget raises CapExceeded before the subset sweep starts.
     """
     check_koszul_budget(complex_)
-    if table is None:  # a bad thread count is refused before the Taylor side's work
-        _refuse_threads(kwargs.get("threads", 1))
+    given_or_built(table, _refuse_sweep, complex_, kwargs)  # refusals before the Taylor side
     taylor = taylor_bigraded(complex_)
-    if table is None:
-        table = bigraded_betti(complex_, **kwargs)
+    table = given_or_built(table, bigraded_betti, complex_, kwargs)
     hochster_table = table.tor_bidegrees()
     koszul = koszul_bigraded(complex_)
     koszul_table = koszul.entries

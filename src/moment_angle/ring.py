@@ -10,21 +10,23 @@ faces, at a cost of the product of the two support sizes.
 free rank and walks the submasks once, multiplying each pair of blocks
 where the walk finds it: the representatives of the pair, as supports read
 off the two block bases, go through the same join and the same coboundary
-check, and each product is written in the target block's basis.  A block's
-degree basis is built, and checked against the table's group, on the
-block's first pair; any other block's basis, and a generator's
-:class:`HochsterClass`, is built only when a class is read.  The product
-is associative on the nose, and it commutes as h.g = (-1)^{(d1+1)(d2+1)}
-g.h in the reduced degrees d1, d2, which is the rule the stored products
-obey.  That is NOT graded commutativity in the moment-angle total degrees
-|J| + d + 1, and no per-class sign can make it so: changing the sign of a
-class changes g.h and h.g alike, so the commutation sign of two blocks
-does not depend on the basis.  The structure constants therefore differ
-from the cup product of the moment-angle complex by a sign on some pairs
-of blocks.  If that sign depends only on the two blocks, every t-fold
-product is off by a sign at most, so ranks of product spans over Q, the
-unimodularity of the pairing and the existence of top products do not see
-it; the golden assertions downstream are stated as those.
+check, and each product is written in the target block's basis.  Bases,
+faces and face positions live in one store per presentation, each filled
+on first read: a shape's chain complex and degree basis are built, and
+checked against the table's group, on a block's first pair or when a class
+is read, and a generator's :class:`HochsterClass` is built only when it is
+read.  The product is associative on the nose, and it commutes as h.g =
+(-1)^{(d1+1)(d2+1)} g.h in the reduced degrees d1, d2, which is the rule
+the stored products obey.  That is NOT graded commutativity in the
+moment-angle total degrees |J| + d + 1, and no per-class sign can make it
+so: changing the sign of a class changes g.h and h.g alike, so the
+commutation sign of two blocks does not depend on the basis.  The
+structure constants therefore differ from the cup product of the
+moment-angle complex by a sign on some pairs of blocks.  If that sign
+depends only on the two blocks, every t-fold product is off by a sign at
+most, so ranks of product spans over Q, the unimodularity of the pairing
+and the existence of top products do not see it; the golden assertions
+downstream are stated as those.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     ParameterOutOfRange,
     TorsionWarning,
 )
-from .hochster import BigradedBetti, bigraded_betti
+from .hochster import BigradedBetti, bigraded_betti, given_or_built
 from .homology import Abelian, ChainComplexZ, CohomologyBasis
 from .snf import identity, is_unimodular_square, row_basis
 
@@ -201,14 +203,14 @@ class RingGenerator:
     subset: int
     degree: int  # reduced cochain degree
     index: int  # position within the (subset, degree) basis
-    _context: _BlockContext = field(repr=False, compare=False)
+    _store: _BlockStore = field(repr=False, compare=False)
     _cls: HochsterClass | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cls(self) -> HochsterClass:
         """The representative cocycle, built once from the block's basis."""
         if self._cls is None:
-            self._cls = self._context.class_of(self.degree, self.index)
+            self._cls = self._store.class_of(self.subset, self.degree, self.index)
         return self._cls
 
     @property
@@ -219,37 +221,27 @@ class RingGenerator:
         return (self.subset, self.degree, self.index)
 
 
-class _BlockContext:
-    """Cohomology basis of one full subcomplex, faces in parent labels.
+class _BlockStore:
+    """One presentation's shared block bases and per-block faces, each filled on first read.
 
-    ``basis`` is the one its presentation keeps under the block's
-    :meth:`.SimplicialComplex.shape_key` (see :class:`RingPresentation`).
-    Only the first block of a shape builds a chain complex, the one that
-    basis is computed on; every block lists its own faces, and their
-    positions, only in the degrees that its methods ask for, and reads
-    ``basis`` through those positions.  A class
-    is written in ``basis`` through :meth:`index` by the pair loop and by
-    :meth:`RingPresentation.express_class`, not by the block.  ``table`` is
-    the presentation's, which :meth:`degree` checks each basis against.
+    ``bases`` maps a :meth:`.SimplicialComplex.shape_key` to the
+    :class:`.CohomologyBasis` every block of that shape reads.  The block
+    whose read builds it keeps its chain complex's face lists; any other
+    block lists its faces, and their positions, per degree when asked.
+    Generators hold the store, not the presentation, so no reference cycle
+    keeps a presentation alive.
     """
 
-    __slots__ = ("complex", "subset", "table", "_faces", "_index", "basis")
+    __slots__ = ("complex", "table", "bases", "_faces", "_index")
 
-    def __init__(self, complex_: SimplicialComplex, subset: int, table: BigradedBetti, bases: dict):
+    def __init__(self, complex_: SimplicialComplex, table: BigradedBetti):
         self.complex = complex_
-        self.subset = subset
         self.table = table
-        self._faces = {}  # degree -> this block's faces, in lex order
-        self._index = {}  # degree -> {face: position in _faces}
-        key = complex_.shape_key(subset)
-        basis = bases.get(key)
-        if basis is None:
-            cc = ChainComplexZ.of_subset(complex_, subset)
-            basis = bases[key] = CohomologyBasis(cc)
-            self._faces.update(cc.faces)
-        self.basis = basis
+        self.bases = {}  # shape key -> CohomologyBasis
+        self._faces = {}  # (subset, degree) -> the block's faces, in lex order
+        self._index = {}  # (subset, degree) -> {face: position in its faces}
 
-    def faces(self, degree: int) -> list:
+    def faces(self, subset: int, degree: int) -> list:
         """The block's degree-d faces, listed when first asked for.
 
         Listing every degree of every block up front with
@@ -257,20 +249,21 @@ class _BlockContext:
         ``wall_s`` read 0.0248-0.0254 s against 0.0245-0.0248 s for this
         per-degree listing (3 pairs, 2 vCPUs, Python 3.11).
         """
-        faces = self._faces.get(degree)
+        faces = self._faces.get((subset, degree))
         if faces is None:
-            outside = ~self.subset
-            by_dim = self.complex.faces_by_dim()
-            faces = self._faces[degree] = [f for f in by_dim.get(degree, ()) if not f & outside]
+            by_dim, outside = self.complex.faces_by_dim(), ~subset
+            faces = [f for f in by_dim.get(degree, ()) if not f & outside]
+            self._faces[(subset, degree)] = faces
         return faces
 
-    def index(self, degree: int) -> dict:
-        index = self._index.get(degree)
+    def index(self, subset: int, degree: int) -> dict:
+        index = self._index.get((subset, degree))
         if index is None:
-            index = self._index[degree] = {f: i for i, f in enumerate(self.faces(degree))}
+            index = {f: i for i, f in enumerate(self.faces(subset, degree))}
+            self._index[(subset, degree)] = index
         return index
 
-    def degree(self, degree: int):
+    def basis(self, subset: int, degree: int):
         """The shape's degree basis, checked against the table's group of this block.
 
         The presentation counts a block's generators from the table, so a
@@ -278,28 +271,33 @@ class _BlockContext:
         The check is one table lookup, repeated on every read; caching its
         outcome would hold one more record per block.
         """
-        basis = self.basis.degree(degree)
-        group = self.table.group(self.subset, degree)
+        key = self.complex.shape_key(subset)
+        shared = self.bases.get(key)
+        if shared is None:
+            cc = ChainComplexZ.of_subset(self.complex, subset)
+            shared = self.bases[key] = CohomologyBasis(cc)
+            for d, faces in cc.faces.items():
+                self._faces.setdefault((subset, d), faces)
+        basis = shared.degree(degree)
+        group = self.table.group(subset, degree)
         if basis.group != group:
             raise BasisMismatch(
-                f"block ({vertices_of(self.subset)}, {degree}) has basis group "
+                f"block ({vertices_of(subset)}, {degree}) has basis group "
                 f"{basis.group}, the table {group}"
             )
         return basis
 
-    def supports(self, degree: int) -> list:
+    def supports(self, subset: int, degree: int) -> list:
         """Each representative's nonzero ``(face, coefficient)`` pairs, in basis order."""
-        faces = self.faces(degree)
-        return [
-            [(f, c) for f, c in zip(faces, rep) if c]
-            for rep in self.degree(degree).representatives
-        ]
+        representatives = self.basis(subset, degree).representatives
+        faces = self.faces(subset, degree)
+        return [[(f, c) for f, c in zip(faces, rep) if c] for rep in representatives]
 
-    def class_of(self, degree: int, index: int) -> HochsterClass:
+    def class_of(self, subset: int, degree: int, index: int) -> HochsterClass:
         """The class of one representative, validated by :class:`HochsterClass`."""
-        rep = self.degree(degree).representatives[index]
-        cochain = {f: c for f, c in zip(self.faces(degree), rep) if c}
-        return HochsterClass(self.subset, degree, cochain)
+        rep = self.basis(subset, degree).representatives[index]
+        cochain = {f: c for f, c in zip(self.faces(subset, degree), rep) if c}
+        return HochsterClass(subset, degree, cochain)
 
 
 @dataclass
@@ -321,28 +319,25 @@ class RingPresentation:
     classes: for each pair of blocks the loop joins the supports of their
     representatives, checks each product's coboundary on K_{I | J} and its
     faces against the target block's, and expresses it in the target's
-    basis.  A generator holds only its address and its block; ``cls``
-    builds its cochain on first read and keeps it.
+    basis.  A generator holds only its address and the presentation's
+    block store; ``cls`` builds its cochain on first read and keeps it.
 
     Blocks whose full subcomplexes have the same shape
     (:meth:`.SimplicialComplex.subset_shape`) share one
-    :class:`.CohomologyBasis`, kept in ``_bases`` under their
+    :class:`.CohomologyBasis`, kept in the store under their
     :meth:`.SimplicialComplex.shape_key`, so no shape is scanned while a
     shape table is kept.  Faces are listed in lex order of parent labels
     and the relabeling to 1..|J| keeps that order, so twins have the same
-    local boundary matrices.  The first block of a shape builds its chain
-    complex; every later twin only lists its own faces in the degrees it is
-    asked for (98 shapes for the 439 blocks of polygon 9).  A degree's
-    basis on that complex, two one-sided Smith forms, is built only for a
-    block in a block pair, on its first pair, or when a class of a block is
-    read (``RingGenerator.cls``, :meth:`express_class`); generators are
-    counted from the table's free ranks, not from bases.  Each block checks
-    the basis it reads against its group in the table, and raises
-    :class:`.BasisMismatch` naming the block when they differ.  On the
-    benchmark's seeded corpus 136 of 1,684 blocks are in a pair, and its
-    100 rings build 100 degree bases where building every block's took
-    897.  The memo lives and dies with the presentation; nothing
-    carries over to another one.
+    local boundary matrices.  A shape's chain complex and degree bases (two
+    one-sided Smith forms each) are built when first read: on a block's
+    first pair, or when a class is read (``RingGenerator.cls``,
+    :meth:`express_class`); generators are counted from the table's free
+    ranks.  Each read checks the basis against the block's group in the
+    table, and raises :class:`.BasisMismatch` naming the block when they
+    differ.  With tables given, the 100 rings of the benchmark's seeded
+    corpus build 100 chain complexes and 100 degree bases; 136 of their
+    1,684 blocks are in a pair.  The store lives and dies with the
+    presentation; nothing carries over to another one.
     """
 
     complex: SimplicialComplex
@@ -351,16 +346,8 @@ class RingPresentation:
     products: dict
     fundamental_id: int | None
     has_torsion: bool
-    _contexts: dict = field(default_factory=dict, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)  # shape key -> CohomologyBasis
+    _store: _BlockStore = field(repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, repr=False)  # (subset, degree) -> gid range
-
-    def context(self, subset: int) -> _BlockContext:
-        ctx = self._contexts.get(subset)
-        if ctx is None:
-            ctx = _BlockContext(self.complex, subset, self.table, self._bases)
-            self._contexts[subset] = ctx
-        return ctx
 
     def find(self, subset, degree: int, index: int = 0) -> RingGenerator:
         """Generator by its (subset, degree, index) address."""
@@ -389,9 +376,9 @@ class RingPresentation:
 
     def express_class(self, cls: HochsterClass) -> list:
         """Coefficients of a class over its block's generators, read as the pair loop reads them."""
-        context = self.context(cls.subset)
-        support = _positions(cls.cochain, context.index(cls.degree))
-        free = context.degree(cls.degree).express(support).free
+        store = self._store
+        support = _positions(cls.cochain, store.index(cls.subset, cls.degree))
+        free = store.basis(cls.subset, cls.degree).express(support).free
         block = self.block_generators(cls.subset, cls.degree)
         return _terms(free, [g.gid for g in block], cls.subset, cls.degree)
 
@@ -431,8 +418,7 @@ def ring_presentation(
     **kwargs,
 ) -> RingPresentation:
     """Choose deterministic free bases per block and multiply them out."""
-    if table is None:
-        table = bigraded_betti(complex_, **kwargs)
+    table = given_or_built(table, bigraded_betti, complex_, kwargs)
     has_torsion = any(g.torsion for g in table.entries.values())
     if has_torsion:
         warnings.warn(
@@ -447,6 +433,7 @@ def ring_presentation(
         products={},
         fundamental_id=None,
         has_torsion=has_torsion,
+        _store=_BlockStore(complex_, table),
     )
     # each block's generator count is the table's free rank; the block's
     # basis is checked against the table's group when it is built
@@ -457,10 +444,10 @@ def ring_presentation(
     ]
     keys.sort(key=lambda key: (key[0].bit_count() + key[1] + 1, lex_key(key[0]), key[1]))
     generators = presentation.generators
+    store = presentation._store
     for subset, d, count in keys:
-        context = presentation.context(subset)
         start = len(generators)
-        generators.extend(RingGenerator(start + i, subset, d, i, context) for i in range(count))
+        generators.extend(RingGenerator(start + i, subset, d, i, store) for i in range(count))
         presentation._blocks[(subset, d)] = range(start, len(generators))
     full = (1 << complex_.m) - 1
     top = presentation._blocks.get((full, complex_.dim()))
@@ -482,7 +469,6 @@ def ring_presentation(
         by_subset.setdefault(subset, {})[d] = gids
     # A product sits at least one degree above twice the lowest block degree.
     low = min((d for _, d in blocks), default=0)
-    contexts = presentation._contexts
     products = presentation.products
     faces = complex_.face_set()
     columns = complex_.boundary_table()
@@ -495,13 +481,13 @@ def ring_presentation(
     def supported(subset, degree):
         out = supports.get((subset, degree))
         if out is None:
-            out = supports[(subset, degree)] = contexts[subset].supports(degree)
+            out = supports[(subset, degree)] = store.supports(subset, degree)
         return out
 
     for target, target_degrees in by_subset.items():
         if max(target_degrees) <= 2 * low:
             continue
-        context = contexts[target]
+        expressing = {}  # degree -> the target's face positions and basis, read on its first pair
         lowest = target & -target
         rest = target ^ lowest
         part = rest  # s1 = part | lowest for every proper submask part of rest
@@ -518,7 +504,10 @@ def ring_presentation(
                     gids2 = right.get(d2)
                     if gids2 is None:
                         continue
-                    index, basis = context.index(d), context.degree(d)
+                    got = expressing.get(d)
+                    if got is None:
+                        got = expressing[d] = (store.index(target, d), store.basis(target, d))
+                    index, basis = got
                     # h.g = (-1)^{(d1+1)(d2+1)} g.h in the reduced degrees
                     # (TestStarProductLaws pins it on cochains)
                     flip = d1 % 2 == 0 and d2 % 2 == 0

@@ -112,22 +112,22 @@ MUTANTS = [
     ),
     (
         "moment_angle/ring.py",
-        "support = _positions(cls.cochain, context.index(cls.degree))",
-        "support = _positions(cls.cochain, context.index(cls.degree - 1))",
+        "support = _positions(cls.cochain, store.index(cls.subset, cls.degree))",
+        "support = _positions(cls.cochain, store.index(cls.subset, cls.degree - 1))",
         ["tests/test_ring.py::TestGeneratorClasses"],
     ),
     (
         "moment_angle/ring.py",
         '        if basis.group != group:\n            raise BasisMismatch(\n'
-        '                f"block ({vertices_of(self.subset)}, {degree}) has basis group "\n'
+        '                f"block ({vertices_of(subset)}, {degree}) has basis group "\n'
         '                f"{basis.group}, the table {group}"\n            )\n',
         "",
         ["tests/test_ring.py::TestPairedBases::test_a_paired_block_off_the_table_is_refused"],
     ),
     (
         "moment_angle/ring.py",
-        "complex_.shape_key(subset)",
-        "subset.bit_count()",
+        "key = self.complex.shape_key(subset)",
+        "key = subset.bit_count()",
         ["tests/test_ring.py::TestSharedBases::test_every_shared_degree_matches_a_fresh_basis"],
     ),
     (

@@ -141,6 +141,17 @@ class TestZk:
             assert "Taylor" in err and "--max-vertices" not in err
 
 
+    def test_crosscheck_vertex_cap_refuses_before_the_taylor_side(self, tmp_path, capsys, monkeypatch):
+        def no_taylor(*args, **kwargs):
+            raise AssertionError("Taylor side started")
+
+        monkeypatch.setattr(resolutions, "taylor_bigraded", no_taylor)
+        nonagon = tmp_path / "p9.cplx"
+        run_cli(["construct", "polygon", "9", "--out", str(nonagon)], capsys)
+        code, out, err = run_cli(["crosscheck", str(nonagon), "--max-vertices", "8"], capsys)
+        assert code == 2 and not out
+        assert "vertex count 9 exceeds the cap 8" in err and "--max-vertices" in err
+
     def test_koszul_budget_refusal_names_no_flag(self, tmp_path, capsys):
         # cross-polytope 7 has 16,777,216 Koszul monomials, over the cap
         octahedral = tmp_path / "cp7.cplx"

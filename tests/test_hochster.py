@@ -1,6 +1,7 @@
 """The subset decomposition, its aggregation, and the duality checks."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,23 @@ from moment_angle import (
     alexander_duality_check,
     bigraded_betti,
     boundary_simplex,
+    cross_check,
     cross_polytope,
+    csp_obstructions,
     mask_of,
     poincare_check,
     polygon,
+    ring_presentation,
     truncated_simplex,
+    verify_csp_model,
     vertices_of,
     zk_betti,
 )
-from moment_angle import hochster
+from moment_angle import hochster, resolutions
 from moment_angle.bitsets import lex_key
 from moment_angle.errors import CapExceeded, NotASphereCandidate, ParameterOutOfRange
 from moment_angle.hochster import _subsets
+from moment_angle.reproduction import TARGET_MODEL
 from test_homology import P28, RP2
 
 Z = Abelian(1, ())
@@ -326,3 +332,44 @@ class TestPoincare:
 
         for k, l in [(2, 2), (3, 1), (3, 2)]:
             assert poincare_check(truncated_simplex(k, l)).ok
+
+
+class TestGivenOrBuilt:
+    """Sweep options beside a given table or presentation are refused, not dropped."""
+
+    @pytest.mark.parametrize("options", [{"threads": 2}, {"bogus": 1, "prune": False}], ids=["threads", "bogus"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda c, t, kw: ring_presentation(c, table=t, **kw), id="ring_presentation"),
+            pytest.param(lambda c, t, kw: cross_check(c, table=t, **kw), id="cross_check"),
+            pytest.param(lambda c, t, kw: csp_obstructions(c, table=t, **kw), id="csp_obstructions"),
+            pytest.param(lambda c, t, kw: alexander_duality_check(c, table=t, **kw), id="alexander_duality_check"),
+            pytest.param(lambda c, t, kw: poincare_check(c, table=t, **kw), id="poincare_check"),
+            pytest.param(
+                lambda c, t, kw: verify_csp_model(
+                    c, TARGET_MODEL, presentation=ring_presentation(c, table=t), **kw
+                ),
+                id="verify_csp_model",
+            ),
+        ],
+    )
+    def test_options_beside_a_given_table_are_refused(self, call, options, monkeypatch):
+        def no_taylor(*args, **kwargs):
+            raise AssertionError("Taylor side started")
+
+        table = bigraded_betti(P28)
+        with monkeypatch.context() as patch:
+            patch.setattr(resolutions, "taylor_bigraded", no_taylor)  # cross_check refuses first
+            with pytest.raises(ParameterOutOfRange, match=re.escape(f"options {sorted(options)} would be ignored")):
+                call(P28, table, options)
+            # without a table the options reach the sweep, which refuses them too
+            with pytest.raises((ParameterOutOfRange, TypeError)):
+                call(P28, None, options)
+        call(P28, table, {})  # the same call without the options runs
+
+    def test_verify_refuses_a_presentation_of_another_complex(self):
+        model = "3,7*15;4,6*40;5,5*45;6,4*24;7,3*5"
+        assert verify_csp_model(polygon(8), model, presentation=ring_presentation(polygon(8))).consistent
+        with pytest.raises(ParameterOutOfRange, match="presentation is of another complex"):
+            verify_csp_model(polygon(8), model, presentation=ring_presentation(polygon(7)))

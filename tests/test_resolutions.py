@@ -22,7 +22,7 @@ from moment_angle import (
     vertices_of,
 )
 from moment_angle import resolutions
-from moment_angle.errors import CapExceeded, MethodDisagreement, ParameterOutOfRange
+from moment_angle.errors import CapExceeded, MethodDisagreement, ParameterOutOfRange, VertexCapExceeded
 from moment_angle.homology import sum_groups
 from moment_angle.resolutions import (
     KOSZUL_BASIS_CAP,
@@ -244,6 +244,14 @@ class TestLyubeznik:
         # with a table given no sweep runs, so the count is not read
         monkeypatch.setattr(resolutions, "taylor_bigraded", taylor_bigraded)
         assert cross_check(p28, table=bigraded_betti(p28)).ok
+
+    def test_vertex_cap_refused_before_the_taylor_side(self, p28, monkeypatch):
+        def no_taylor(*args, **kwargs):
+            raise AssertionError("Taylor side started")
+
+        monkeypatch.setattr(resolutions, "taylor_bigraded", no_taylor)
+        with pytest.raises(VertexCapExceeded, match="vertex count 8 exceeds the cap 7"):
+            cross_check(p28, max_vertices=7)
 
 
 def textbook_koszul_column(complex_, mono):

@@ -1,10 +1,12 @@
 """Cup products: the golden relations of the 8-vertex sphere and ring APIs."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import re
+import weakref
 from itertools import combinations
 
 import pytest
@@ -576,19 +578,19 @@ class TestTargetWalk:
         # label every list as it is made, and record the pairs joined
         labels = {}  # id of a support list -> (subset, degree, index)
         joined = []
-        supports, join = ring._BlockContext.supports, ring._join
+        supports, join = ring._BlockStore.supports, ring._join
 
-        def labelling(self, degree):
-            out = supports(self, degree)
+        def labelling(self, subset, degree):
+            out = supports(self, subset, degree)
             for index, items in enumerate(out):
-                labels[id(items)] = (self.subset, degree, index)
+                labels[id(items)] = (subset, degree, index)
             return out
 
         def recording(left_items, right_items, faces):
             joined.append((left_items, right_items))
             return join(left_items, right_items, faces)
 
-        monkeypatch.setattr(ring._BlockContext, "supports", labelling)
+        monkeypatch.setattr(ring._BlockStore, "supports", labelling)
         monkeypatch.setattr(ring, "_join", recording)
         presentation = ring_presentation(complex_)
         generators = presentation.generators
@@ -683,9 +685,9 @@ class TestGeneratorClasses:
         for g in presentation.generators:
             cls = g.cls
             assert isinstance(cls, HochsterClass)
-            context = presentation.context(g.subset)
-            rep = context.basis.representatives(g.degree)[g.index]
-            faces = context.faces(g.degree)
+            store = presentation._store
+            rep = store.bases[complex_.shape_key(g.subset)].representatives(g.degree)[g.index]
+            faces = store.faces(g.subset, g.degree)
             assert cls == HochsterClass(g.subset, g.degree, {f: c for f, c in zip(faces, rep) if c})
             assert (cls.subset, cls.degree) == (g.subset, g.degree)
             assert presentation.express_class(cls) == [(g.gid, 1)]
@@ -714,23 +716,24 @@ class TestSharedBases:
     @pytest.mark.parametrize("complex_", SHARED_INPUTS)
     def test_every_shared_degree_matches_a_fresh_basis(self, complex_):
         presentation = ring_presentation(complex_)
-        # torsion blocks have no generators; give them contexts too, so the
-        # torsion rows are compared
-        for (subset, _), group in presentation.table.entries.items():
-            if group.torsion:
-                presentation.context(subset)
+        store = presentation._store
         torsion_seen = False
-        for subset, ctx in list(presentation._contexts.items()):
+        # every block of the table, torsion blocks without generators too, so
+        # the torsion rows are compared; a read builds the shape's basis
+        for subset, d0 in presentation.table.entries:
+            assert store.basis(subset, d0) is store.bases[complex_.shape_key(subset)].degree(d0)
+        for subset in sorted({subset for subset, _ in presentation.table.entries}):
             fresh = CohomologyBasis(ChainComplexZ.of_subset(complex_, subset))
             # the complex the shape's basis was computed on, perhaps another block's
-            cc = ctx.basis.cc
+            basis = store.bases[complex_.shape_key(subset)]
+            cc = basis.cc
             assert cc.top == fresh.cc.top
             for d in range(-1, cc.top + 2):
                 # the block lists its own faces, and their positions, per degree
-                assert ctx.faces(d) == fresh.cc.faces.get(d, [])
-                assert ctx.index(d) == fresh.cc.index.get(d, {})
+                assert store.faces(subset, d) == fresh.cc.faces.get(d, [])
+                assert store.index(subset, d) == fresh.cc.index.get(d, {})
             for d in range(-1, cc.top + 1):
-                shared, alone = ctx.basis.degree(d), fresh.degree(d)
+                shared, alone = basis.degree(d), fresh.degree(d)
                 assert vars(shared) == vars(alone), (vertices_of(subset), d)
                 torsion_seen |= bool(shared._torsion_rows)
                 rng = random.Random(subset * 64 + d)
@@ -782,19 +785,24 @@ class TestSharedBases:
 
         monkeypatch.setattr(SimplicialComplex, "subset_shape", counting_shape)
         first = ring_presentation(complex_, table=table)
-        assert (len(first._contexts), len(first._bases), len(built)) == (439, 98, 98)
+        bases = first._store.bases
+        subsets = {subset for subset, _ in first._blocks}
+        assert (len(subsets), len(bases), len(built)) == (439, 98, 98)
         assert not scans  # the shape ids come from the table; no shape is scanned
-        # only the first block of each shape builds a chain complex
-        assert len(complexes) == len(first._bases)
+        # only the first block of each shape read builds a chain complex
+        assert len(complexes) == len(bases)
         assert len(calls) <= 2 * len(built)
-        for subset, ctx in first._contexts.items():
-            assert ctx.basis is first._bases[complex_.shape_key(subset)]
-        # a second presentation starts from an empty memo
+        # every block reads its shape's basis, and the reads build no more complexes
+        for subset, d in first._blocks:
+            assert first._store.basis(subset, d) is bases[complex_.shape_key(subset)].degree(d)
+        assert len(complexes) == len(bases) == 98
+        # a second presentation starts from an empty store
         counted = len(calls)
         calls.clear()
         second = ring_presentation(complex_, table=table)
         assert len(calls) == counted
-        assert second._bases is not first._bases
+        assert second._store is not first._store
+        assert second._store.bases is not bases
 
     @pytest.mark.filterwarnings("ignore::moment_angle.errors.TorsionWarning")
     @pytest.mark.parametrize(
@@ -807,33 +815,83 @@ class TestSharedBases:
         # above the table's cap a subset's shape key is its shape tuple
         monkeypatch.setattr(complexes, "SHAPE_TABLE_MAX_VERTICES", 4)
         presentation = ring_presentation(build())
-        assert presentation._bases and all(isinstance(key, tuple) for key in presentation._bases)
         assert ring_json_obj(presentation) == expected
+        for g in presentation.generators:  # rp2 has no block pair; a read builds a basis
+            assert presentation.express_class(g.cls) == [(g.gid, 1)]
+        bases = presentation._store.bases
+        assert bases and all(isinstance(key, tuple) for key in bases)
 
     def test_mutating_one_block_leaves_its_twin(self):
-        presentation = ring_presentation(polygon(9))
+        complex_ = polygon(9)
+        presentation = ring_presentation(complex_)
+        store = presentation._store
+
+        def basis(subset):
+            return store.bases[complex_.shape_key(subset)]
+
         holders = {}  # shared representatives -> the blocks holding them
-        for ctx in presentation._contexts.values():
-            for d, basis in ctx.basis._degrees.items():
-                assert isinstance(basis.representatives, tuple)
-                assert all(isinstance(rep, tuple) for rep in basis.representatives)
-                if basis.representatives:
-                    holders.setdefault(id(basis.representatives), []).append((ctx, d))
+        for subset in {subset for subset, _ in presentation._blocks}:
+            for d, degree_basis in basis(subset)._degrees.items():
+                assert isinstance(degree_basis.representatives, tuple)
+                assert all(isinstance(rep, tuple) for rep in degree_basis.representatives)
+                if degree_basis.representatives:
+                    holders.setdefault(id(degree_basis.representatives), []).append((subset, d))
         (a, d), (b, _) = next(blocks for blocks in holders.values() if len(blocks) > 1)[:2]
-        assert a.subset != b.subset
+        assert a != b
 
-        def classes(ctx):
-            return [ctx.class_of(d, i) for i in range(len(ctx.basis.representatives(d)))]
+        def classes(subset):
+            return [store.class_of(subset, d, i) for i in range(len(basis(subset).representatives(d)))]
 
-        reps, twin_classes = b.basis.representatives(d), classes(b)
-        own_reps, own_classes = a.basis.representatives(d), classes(a)
-        a.basis.representatives(d)[0][0] += 7
-        a.class_of(d, 0).cochain.clear()
+        reps, twin_classes = basis(b).representatives(d), classes(b)
+        own_reps, own_classes = basis(a).representatives(d), classes(a)
+        basis(a).representatives(d)[0][0] += 7
+        store.class_of(a, d, 0).cochain.clear()
         own_reps[0][:] = [0] * len(own_reps[0])
         own_classes[0].cochain.clear()
-        assert b.basis.representatives(d) == reps
+        assert basis(b).representatives(d) == reps
         assert classes(b) == twin_classes
-        assert a.basis.representatives(d) == reps
+        assert basis(a).representatives(d) == reps
+
+
+class TestBlockStore:
+    """A presentation's block store builds a shape's chain complex on the first read of its bases."""
+
+    def test_chain_complexes_are_built_for_read_shapes_only(self, monkeypatch):
+        inputs = {
+            "corpus": [(c, bigraded_betti(c)) for c in random_complexes(100, max_missing=10)],
+            "polygon9": [(polygon(9), bigraded_betti(polygon(9)))],
+        }
+        built = []
+        of_subset = ChainComplexZ.of_subset.__func__
+
+        def counting(cls, complex_, subset):
+            built.append(subset)
+            return of_subset(cls, complex_, subset)
+
+        monkeypatch.setattr(homology.ChainComplexZ, "of_subset", classmethod(counting))
+        counts = {}
+        for name, pairs in inputs.items():
+            built.clear()
+            for complex_, table in pairs:
+                ring_presentation(complex_, table=table)
+            counts[name] = len(built)
+        # building one complex per shape of every block took 883 on the corpus
+        assert counts == {"corpus": 100, "polygon9": 98}
+
+    def test_no_reference_cycle_holds_a_presentation(self):
+        gc.disable()
+        try:
+            presentation = ring_presentation(polygon(7))
+            for g in presentation.generators:
+                assert g.cls is not None  # fill the store
+            kept = presentation.generators[0]
+            ref = weakref.ref(presentation)
+            del presentation
+            # a generator holds the store, never the presentation
+            assert ref() is None
+            assert kept.cls.subset == kept.subset
+        finally:
+            gc.enable()
 
 
 def paired_blocks(presentation):
@@ -874,7 +932,7 @@ class TestPairedBases:
             built.clear()
             presentation = ring_presentation(complex_, table=table)
             want = {(complex_.shape_key(s), d) for s, d in paired_blocks(presentation)}
-            got = {(key, d) for key, basis in presentation._bases.items() for d in basis._degrees}
+            got = {(key, d) for key, basis in presentation._store.bases.items() for d in basis._degrees}
             assert got == want
             assert len(built) == len(want)
             if presentation._blocks and not want:
@@ -890,10 +948,11 @@ class TestPairedBases:
                 assert presentation.express_class(g.cls) == [(g.gid, 1)]
             assert json.dumps(ring_json_obj(presentation), sort_keys=True) == before
             # every degree built on a block's shared basis, its twins' reads included
+            bases = presentation._store.bases
             checked = {
                 (subset, d): basis.group
-                for subset, ctx in presentation._contexts.items()
-                for d, basis in ctx.basis._degrees.items()
+                for subset in {subset for subset, _ in presentation._blocks}
+                for d, basis in bases[complex_.shape_key(subset)]._degrees.items()
             }
             assert set(presentation._blocks) <= set(checked)
             for (subset, d), group in checked.items():
